@@ -1,7 +1,7 @@
 """Timing comparison of the compiled and pure search kernels.
 
-The kernel is chosen at import time, so each lane runs in a fresh
-subprocess with TROPCOUNT_PURE set accordingly.  Every case is checked
+The kernel lane is selected once per process, so each lane runs in a
+fresh subprocess with TROPCOUNT_PURE set accordingly.  Every case is checked
 against its known count before timing is reported.
 """
 

@@ -1,23 +1,34 @@
-import sys
+"""Build of tropcount with its compiled search kernel.
 
-from setuptools import setup, Extension
+The kernel is one C file, src/tropcount/_kernel/search.c, built into a
+plain shared library that the package loads with ctypes; it is not a
+Python extension module.  The library takes the file name the package
+looks for (see _kernel/build.py).  Without a working C compiler the
+package still installs, and the first use tries the build again or runs
+the pure Python kernel, with identical results.
+"""
 
-# The compiled kernel is optional.  If Cython or a C compiler is missing the
-# package still installs and falls back to the pure-Python search kernel.
-ext_modules = []
-try:
-    from Cython.Build import cythonize
+import os
+import runpy
 
-    ext_modules = cythonize(
-        [
-            Extension(
-                "tropcount._kernel._speedups",
-                ["src/tropcount/_kernel/_speedups.pyx"],
-            )
-        ],
-        language_level=3,
-    )
-except ImportError:
-    sys.stderr.write("Cython not available, building without the compiled kernel\n")
+from setuptools import Extension, setup
+from setuptools.command.build_ext import build_ext
 
-setup(ext_modules=ext_modules)
+KERNEL = runpy.run_path(os.path.join("src", "tropcount", "_kernel", "build.py"))
+
+
+class build_kernel(build_ext):
+    def get_ext_filename(self, fullname):
+        return os.path.join(*fullname.split(".")[:-1],
+                            KERNEL["library_name"]())
+
+
+setup(
+    ext_modules=[Extension(
+        "tropcount._kernel._search",
+        [os.path.join("src", "tropcount", "_kernel", "search.c")],
+        extra_compile_args=["-std=c99"],
+        optional=True,
+    )],
+    cmdclass={"build_ext": build_kernel},
+)

@@ -5,4 +5,9 @@ constraints in general position, each curve weighted by a lattice-index
 multiplicity, so that the total is independent of the constraint choice.
 """
 
+import logging
+
 __version__ = "0.1.0"
+
+# quiet unless the application configures logging
+logging.getLogger(__name__).addHandler(logging.NullHandler())

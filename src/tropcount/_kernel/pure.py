@@ -17,7 +17,6 @@ this module with machine integers plus overflow detection.
 
 OK = 0
 NON_GENERAL = 1
-OVERFLOW = 2
 
 
 def adjugate_det(m):

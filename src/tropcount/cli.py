@@ -32,7 +32,11 @@ def _cmd_count(args):
         print("problem is marked long; pass --long to run it",
               file=sys.stderr)
         return 2
-    problem = engine.problem_from_json(data)
+    try:
+        problem = engine.problem_from_json(data)
+    except ValueError as exc:
+        print("tropcount count: bad problem file: %s" % exc, file=sys.stderr)
+        return 2
     report = engine.count_invariant(problem, seed=args.seed,
                                     workers=args.workers)
     _emit(engine.report_to_json(report), args.out)

@@ -22,7 +22,7 @@ from . import _kernel
 from .curves import (CombType, Degree, edge_base_vertex, edge_count,
                      edge_dir, make_degree, orbit_min, path_signs,
                      unmarked_types)
-from .lattice import quotient_map
+from .lattice import cached_quotient_map, quotient_map
 from .matching import (NON_GENERAL, UNIQUE, AffineConstraint,
                        generate_constraints, match_constraints,
                        verify_general)
@@ -109,7 +109,7 @@ def _kernel_inputs(comb, constraints):
     for eid in range(ne):
         u = edge_dir(comb, eid)
         v = edge_base_vertex(comb, eid)
-        w = quotient_map([u], n)
+        w = cached_quotient_map([u], n, quotient_map)
         ncols = len(w[0]) if w and len(w) else 0
         rows = []
         for col in range(ncols):
@@ -209,6 +209,14 @@ def _count_type_mixed(task):
     return curves
 
 
+def _search_lane(problem):
+    """The search lane a count reports.  Only point constraints run the
+    search, so no other count selects, or builds, the compiled lane."""
+    if any(problem.constraint_bases):
+        return "pure"
+    return _kernel.implementation()
+
+
 def _count_degenerate(deg, constraints):
     from .curves import enumerate_types
     t = enumerate_types(deg, len(constraints))[0]
@@ -256,6 +264,8 @@ def count_invariant(problem, seed=0, workers=1):
     type reports a non-general configuration, and sums multiplicities.
     """
     t0 = time.perf_counter()
+    # selected before the pool starts, so workers inherit the lane
+    kernel = _search_lane(problem)
     if problem.odd_insertions:
         return CountReport(
             total=odd_class_vanishing(),
@@ -264,7 +274,7 @@ def count_invariant(problem, seed=0, workers=1):
                 for deg in problem.degrees),
             seeds_used=(seed,), genericity_retries=0,
             timing=time.perf_counter() - t0,
-            kernel=_kernel.implementation(), workers=workers,
+            kernel=kernel, workers=workers,
             note=ODD_VANISHING_NOTE)
 
     codim_total = sum(problem.n - 1 - len(b) for b in problem.constraint_bases)
@@ -300,7 +310,7 @@ def count_invariant(problem, seed=0, workers=1):
                     total=total, per_degree=tuple(reports),
                     seeds_used=(seed,), genericity_retries=retry,
                     timing=time.perf_counter() - t0,
-                    kernel=_kernel.implementation(), workers=workers)
+                    kernel=kernel, workers=workers)
         raise RuntimeError("could not reach general position; increase bound")
     finally:
         if pool is not None:
@@ -362,20 +372,31 @@ def degree_from_json(data):
     return make_degree([(tuple(u), w) for u, w in data["entries"]])
 
 
+def _field(obj, key, where):
+    """obj[key] of a problem's JSON, or a ValueError naming the field."""
+    if not isinstance(obj, dict):
+        raise ValueError("%s must be a JSON object" % where)
+    if key not in obj:
+        raise ValueError("%s is missing %r" % (where, key))
+    return obj[key]
+
+
 def _degrees_from_source(src):
     from . import degrees as degmod
 
-    kind = src["kind"]
+    kind = _field(src, "kind", "degree_source")
     if kind == "explicit":
-        return tuple(degree_from_json(d) for d in src["degrees"])
+        return tuple(degree_from_json(d)
+                     for d in _field(src, "degrees", "degree_source"))
     max_weight = src.get("max_weight")
     if kind == "flag3":
-        s, t = src["class"]
+        s, t = _field(src, "class", "degree_source")
         ds = degmod.preset_flag3(s, t)
     elif kind == "octahedron":
-        ds = degmod.octahedron_class_set(src["class"])
+        ds = degmod.octahedron_class_set(_field(src, "class", "degree_source"))
     elif kind == "coarse":
-        ds = degmod.degree_set_from_json(src["coarse_degrees"])
+        ds = degmod.degree_set_from_json(
+            _field(src, "coarse_degrees", "degree_source"))
     else:
         raise ValueError("unknown degree_source kind %r" % (kind,))
     return degmod.degree_set_degrees(ds, max_weight)
@@ -387,22 +408,35 @@ def problem_from_json(data):
     degree_source kinds: explicit degree list, flag3 or octahedron
     preset classes, or a coarse degree set; preset and coarse sources
     expand through refinement.  constraints kinds: generate (offsets
-    drawn from the seed) or explicit (fixed offsets).
+    drawn from the seed) or explicit (fixed offsets, one per basis, each
+    of length rank).  A missing field, or explicit offsets of the wrong
+    length, raise ValueError naming the field.
     """
-    degrees = _degrees_from_source(data["degree_source"])
-    cons = data["constraints"]
+    rank = _field(data, "rank", "problem")
+    source = _field(data, "degree_source", "problem")
+    cons = _field(data, "constraints", "problem")
     bases = tuple(tuple(tuple(v) for v in basis)
-                  for basis in cons["bases"])
+                  for basis in _field(cons, "bases", "constraints"))
+    kind = _field(cons, "kind", "constraints")
     offsets = None
-    if cons["kind"] == "explicit":
-        offsets = tuple(tuple(x) for x in cons["offsets"])
-    elif cons["kind"] != "generate":
-        raise ValueError("unknown constraints kind %r" % (cons["kind"],))
+    if kind == "explicit":
+        offsets = tuple(tuple(x) for x in _field(cons, "offsets",
+                                                 "constraints"))
+        if len(offsets) != len(bases):
+            raise ValueError("constraints.offsets has %d entries for %d bases"
+                             % (len(offsets), len(bases)))
+        for i, off in enumerate(offsets):
+            if len(off) != rank:
+                raise ValueError("constraints.offsets[%d] has %d coordinates,"
+                                 " not rank %d" % (i, len(off), rank))
+    elif kind != "generate":
+        raise ValueError("unknown constraints kind %r" % (kind,))
+    degrees = _degrees_from_source(source)
     options = data.get("options", {})
     kwargs = {}
     if cons.get("bound") is not None:
         kwargs["bound"] = cons["bound"]
-    return Problem(n=data["rank"], degrees=degrees, constraint_bases=bases,
+    return Problem(n=rank, degrees=degrees, constraint_bases=bases,
                    offsets=offsets,
                    odd_insertions=options.get("odd_insertions", False),
                    **kwargs)

@@ -264,6 +264,26 @@ def quotient_map(vectors, n):
     return [[right[i][j] for j in range(k, n)] for i in range(n)]
 
 
+_quotient_maps = {}
+
+
+def cached_quotient_map(vectors, n, compute):
+    """compute(vectors, n), a quotient_map, memoized on (tuple of
+    vectors, n).
+
+    One result is shared by every caller, so its rows are tuples; the
+    callers only read them.  A caller passes its own module's name for
+    quotient_map as compute, so that a wrapper installed on that name,
+    such as the layer tracer in perfbench, sees only the misses: the
+    calls that do lattice work.
+    """
+    key = (tuple(map(tuple, vectors)), n)
+    w = _quotient_maps.get(key)
+    if w is None:
+        w = _quotient_maps[key] = tuple(map(tuple, compute(vectors, n)))
+    return w
+
+
 def apply_quotient(w, x):
     """Apply a quotient presentation W to a row vector x."""
     cols = len(w[0]) if w and len(w) else 0

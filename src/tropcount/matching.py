@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .curves import (edge_base_vertex, edge_count, edge_dir, is_bounded,
                      path_signs)
-from .lattice import (apply_quotient, lattice_index, quotient_map, rank_int,
-                      saturate, solve_rational)
+from .lattice import (apply_quotient, cached_quotient_map, lattice_index,
+                      quotient_map, rank_int, saturate, solve_rational)
 
 NONE = "none"
 UNIQUE = "unique"
@@ -151,7 +151,7 @@ def match_constraints(t, constraints):
         u = edge_dir(t, eid)
         if _span_contains(c.basis, u):
             overdetermined.add(i)
-        w = quotient_map([u] + list(c.basis), n)
+        w = cached_quotient_map([u, *c.basis], n, quotient_map)
         ncols = len(w[0]) if w and len(w) else 0
         v = edge_base_vertex(t, eid)
         for col in range(ncols):
@@ -230,7 +230,7 @@ def _match_degenerate(t, constraints):
     for i, c in enumerate(constraints):
         if _span_contains(c.basis, u):
             overdetermined.add(i)
-        w = quotient_map([u] + list(c.basis), n)
+        w = cached_quotient_map([u, *c.basis], n, quotient_map)
         ncols = len(w[0]) if w and len(w) else 0
         for col in range(ncols):
             rows.append([Fraction(w[j][col]) for j in range(n)])

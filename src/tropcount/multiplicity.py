@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curves import edge_base_vertex, edge_dir, edge_weight, is_bounded
-from .lattice import (apply_quotient, bareiss_det, int_matrix_inverse,
-                      lattice_index, quotient_map, rank_int, saturate,
-                      smith_normal_form)
+from .lattice import (apply_quotient, bareiss_det, cached_quotient_map,
+                      int_matrix_inverse, lattice_index, quotient_map,
+                      rank_int, saturate, smith_normal_form)
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ def d_index(t, constraints):
     cols = n * nv
     rows = []
     for tail, head, w, u in t.bounded:
-        wq = quotient_map([u], n)
+        wq = cached_quotient_map([u], n, quotient_map)
         ncols = len(wq[0]) if wq and len(wq) else 0
         for col in range(ncols):
             row = [0] * cols
@@ -60,7 +60,7 @@ def d_index(t, constraints):
         eid = t.markings[i]
         u = edge_dir(t, eid)
         v = edge_base_vertex(t, eid)
-        wq = quotient_map([u] + list(c.basis), n)
+        wq = cached_quotient_map([u, *c.basis], n, quotient_map)
         ncols = len(wq[0]) if wq and len(wq) else 0
         for col in range(ncols):
             row = [0] * cols
@@ -82,7 +82,7 @@ def _line_index(t, constraints):
     complement = [tuple(rinv[i]) for i in range(1, n)]
     rows = []
     for i, c in enumerate(constraints):
-        wq = quotient_map([u] + list(c.basis), n)
+        wq = cached_quotient_map([u, *c.basis], n, quotient_map)
         ncols = len(wq[0]) if wq and len(wq) else 0
         for col in range(ncols):
             rows.append([sum(cv[j] * wq[j][col] for j in range(n))

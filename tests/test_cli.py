@@ -62,6 +62,32 @@ def test_count_long_gate(tmp_path):
     assert read(out)["total"] == 1
 
 
+@pytest.mark.parametrize("drop, named", [
+    ("degree_source", "'degree_source'"),
+    ("rank", "'rank'"),
+])
+def test_count_bad_problem_exits_2(tmp_path, capsys, drop, named):
+    data = engine.problem_to_json(engine.Problem(
+        n=2, degrees=(degrees.plane_degree(1),), constraint_bases=((), ()),
+        offsets=((0, 0), (5, 7))))
+    del data[drop]
+    path = write(tmp_path / "bad.json", data)
+    assert cli.main(["count", "--problem", path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err
+    assert "Traceback" not in err
+
+
+def test_count_explicit_offsets_wrong_length(tmp_path, capsys):
+    data = engine.problem_to_json(engine.Problem(
+        n=2, degrees=(degrees.plane_degree(1),), constraint_bases=((), ()),
+        offsets=((0, 0), (5, 7))))
+    data["constraints"]["offsets"].pop()
+    path = write(tmp_path / "bad.json", data)
+    assert cli.main(["count", "--problem", path]) == 2
+    assert "constraints.offsets" in capsys.readouterr().err
+
+
 def test_types_listing(tmp_path):
     degfile = write(tmp_path / "degree.json",
                     engine.degree_to_json(degrees.plane_degree(1)))

@@ -183,6 +183,59 @@ def test_problem_json_sources():
         })
 
 
+PLANE_LINE = {
+    "rank": 2,
+    "degree_source": {"kind": "explicit", "degrees": [
+        {"entries": [[[-1, 0], 1], [[0, -1], 1], [[1, 1], 1]]}]},
+    "constraints": {"kind": "explicit", "bases": [[], []],
+                    "offsets": [[0, 0], [5, 7]]},
+}
+
+
+def without(data, path):
+    """A deep copy of data with the field at path (a dotted name) gone."""
+    data = json.loads(json.dumps(data))
+    *parents, last = path.split(".")
+    obj = data
+    for key in parents:
+        obj = obj[key]
+    del obj[last]
+    return data
+
+
+@pytest.mark.parametrize("path, named", [
+    ("rank", "'rank'"),
+    ("degree_source", "'degree_source'"),
+    ("degree_source.kind", "'kind'"),
+    ("constraints", "'constraints'"),
+    ("constraints.bases", "'bases'"),
+    ("constraints.offsets", "'offsets'"),
+])
+def test_problem_json_missing_field_is_named(path, named):
+    assert engine.problem_from_json(PLANE_LINE).n == 2
+    with pytest.raises(ValueError, match=named):
+        engine.problem_from_json(without(PLANE_LINE, path))
+
+
+def test_problem_json_offsets_must_fit():
+    data = json.loads(json.dumps(PLANE_LINE))
+    data["constraints"]["offsets"] = [[0, 0]]
+    with pytest.raises(ValueError, match="offsets has 1 entries for 2"):
+        engine.problem_from_json(data)
+    data["constraints"]["offsets"] = [[0, 0], [5, 7, 1]]
+    with pytest.raises(ValueError, match=r"offsets\[1\] has 3 coordinates"):
+        engine.problem_from_json(data)
+
+
+def test_mixed_count_leaves_the_lane_unselected(monkeypatch):
+    def selected():
+        raise AssertionError("the lane was selected")
+
+    monkeypatch.setattr(_kernel, "implementation", selected)
+    prob = octahedron_problem(1, (((0, 0, 1),), ((0, 1, 0),)))
+    assert engine.count_invariant(prob, seed=1).kernel == "pure"
+
+
 def test_report_json_and_dump():
     prob = engine.Problem(n=2, degrees=(degrees.plane_degree(1),),
                           constraint_bases=((), ()),
