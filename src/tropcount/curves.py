@@ -5,6 +5,13 @@ of a degree (primitive direction, weight).  Directions of the bounded
 edges are forced by the balancing condition, so a type is determined by
 the tree shape plus the assignment of degree entries to ends.  Types are
 kept in a canonical form so isomorphic decorated trees compare equal.
+
+The types of a degree are generated over its multiset of entries, not
+over labeled trees: rooted at an end of the rarest entry, the rest of a
+tree is an unordered binary tree whose leaves are the other entries, so
+equal entries never yield copies of one tree, and subtrees whose
+entries sum to zero (a vanishing bounded edge) are never built.  Each
+generated tree is brought to canonical form and duplicates are merged.
 """
 
 from __future__ import annotations
@@ -288,20 +295,6 @@ def balance_propagate(edges, leaf_data):
     return dirs
 
 
-def _trees(e):
-    """All trivalent trees on e labeled leaves, by leaf insertion."""
-    def rec(k, edges):
-        if k == e:
-            yield edges
-            return
-        m = e + k - 2
-        for idx in range(len(edges)):
-            a, b = edges[idx]
-            rest = edges[:idx] + edges[idx + 1:]
-            yield from rec(k + 1, rest + [(a, m), (m, b), (k, m)])
-    yield from rec(3, [(0, e), (1, e), (2, e)])
-
-
 def _tree_center(adj, nodes):
     """Center nodes (one or two) by iterated leaf removal."""
     degree = {v: len(adj[v]) for v in nodes}
@@ -471,14 +464,95 @@ def orbit_min(assign, gens):
     return best
 
 
+def _rooted_trees(counts, sums):
+    """Unordered rooted binary trees over a multiset of leaf values.
+
+    counts[k] is how many leaves carry value k, and sums[k] is that
+    value's weighted direction w*u.  A tree is a value index (a leaf)
+    or a pair of trees.  Every part of size >= 2 hangs from a bounded
+    edge whose direction is the part's weighted sum, so parts summing
+    to zero are never built.  Yields the trees over counts, which must
+    have at least two leaves; each tree comes once up to swapping the
+    two sides of a pair.
+    """
+    memo = {}
+
+    def vanishes(c):
+        return sum(c) >= 2 and not any(
+            sum(k * s[i] for k, s in zip(c, sums))
+            for i in range(len(sums[0])))
+
+    def pairs(c):
+        for a in itertools.product(*(range(k + 1) for k in c)):
+            b = tuple(x - y for x, y in zip(c, a))
+            if not any(a) or a > b or vanishes(a) or vanishes(b):
+                continue
+            left = trees(a)
+            if a == b:
+                for i, x in enumerate(left):
+                    for y in left[i:]:
+                        yield x, y
+            else:
+                right = trees(b)
+                for x in left:
+                    for y in right:
+                        yield x, y
+
+    def trees(c):
+        if c not in memo:
+            memo[c] = [c.index(1)] if sum(c) == 1 else list(pairs(c))
+        return memo[c]
+
+    return pairs(counts)
+
+
+def _labeled_edges(root, tree, first, e):
+    """Edge list of the tree with the leaf of value root attached to the
+    top pair.  Leaves of value k take labels first[k], first[k] + 1, ...
+    and internal nodes take labels e, e + 1, ..."""
+    leaves = [itertools.count(f) for f in first]
+    internal = itertools.count(e)
+    edges = []
+
+    def place(t):
+        if isinstance(t, int):
+            return next(leaves[t])
+        v = next(internal)
+        for child in t:
+            edges.append((v, place(child)))
+        return v
+
+    edges.append((place(root), place(tree)))
+    return edges
+
+
 @lru_cache(maxsize=None)
 def _unmarked_types(deg):
+    """Canonical types of a degree with e >= 3 ends, in key order.
+
+    Every type has a leaf whose value is the degree's rarest entry (ties
+    broken by value); rooting there leaves an unordered rooted binary
+    tree over the other entries, so generating those trees over the
+    multiset, not over labeled leaves, reaches every type while equal
+    entries no longer repeat one tree.  Types still reached several
+    times, from different leaves of the root value, are merged by their
+    canonical key.
+    """
+    values, first, counts = [], [], []
+    for i, entry in enumerate(deg.entries):
+        if not values or values[-1] != entry:
+            values.append(entry)
+            first.append(i)
+            counts.append(0)
+        counts[-1] += 1
+    root = min(range(len(values)), key=lambda k: (counts[k], values[k]))
+    counts[root] -= 1
+    sums = [tuple(w * x for x in u) for u, w in values]
     found = {}
-    for edges in _trees(deg.e):
-        item = _canonicalize(edges, deg.entries, deg.n)
-        if item is None:
-            continue
-        key, comb, gens = item
+    for tree in _rooted_trees(tuple(counts), sums):
+        edges = _labeled_edges(root, tree, first, deg.e)
+        # no bounded direction vanishes, so the tree is never rejected
+        key, comb, gens = _canonicalize(edges, deg.entries, deg.n)
         if key not in found:
             found[key] = (comb, gens)
     return tuple(found[k] for k in sorted(found))

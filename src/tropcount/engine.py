@@ -23,7 +23,7 @@ from .curves import (CombType, Degree, edge_base_vertex, edge_count,
                      edge_dir, make_degree, orbit_min, path_signs,
                      unmarked_types)
 from .lattice import cached_quotient_map, quotient_map
-from .matching import (NON_GENERAL, UNIQUE, AffineConstraint,
+from .matching import (NON_GENERAL, UNIQUE, AffineConstraint, check_basis,
                        generate_constraints, match_constraints,
                        verify_general)
 from .multiplicity import total_multiplicity
@@ -409,14 +409,23 @@ def problem_from_json(data):
     preset classes, or a coarse degree set; preset and coarse sources
     expand through refinement.  constraints kinds: generate (offsets
     drawn from the seed) or explicit (fixed offsets, one per basis, each
-    of length rank).  A missing field, or explicit offsets of the wrong
-    length, raise ValueError naming the field.
+    of length rank).  A missing field, explicit offsets of the wrong
+    length, a constraint basis that is not a saturated independent set
+    of rank-length vectors, or a degree of another rank raise ValueError
+    naming the field.
     """
     rank = _field(data, "rank", "problem")
+    if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
+        raise ValueError("rank must be a positive integer, not %r" % (rank,))
     source = _field(data, "degree_source", "problem")
     cons = _field(data, "constraints", "problem")
     bases = tuple(tuple(tuple(v) for v in basis)
                   for basis in _field(cons, "bases", "constraints"))
+    for i, basis in enumerate(bases):
+        try:
+            check_basis(rank, basis)
+        except ValueError as exc:
+            raise ValueError("constraints.bases[%d]: %s" % (i, exc)) from None
     kind = _field(cons, "kind", "constraints")
     offsets = None
     if kind == "explicit":
@@ -432,6 +441,10 @@ def problem_from_json(data):
     elif kind != "generate":
         raise ValueError("unknown constraints kind %r" % (kind,))
     degrees = _degrees_from_source(source)
+    for deg in degrees:
+        if deg.n != rank:
+            raise ValueError("degree_source gives a degree of rank %d, not"
+                             " rank %d" % (deg.n, rank))
     options = data.get("options", {})
     kwargs = {}
     if cons.get("bound") is not None:

@@ -13,14 +13,28 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import (edge_base_vertex, edge_count, edge_dir, is_bounded,
-                     path_signs)
-from .lattice import (apply_quotient, cached_quotient_map, lattice_index,
-                      quotient_map, rank_int, saturate, solve_rational)
+from .curves import edge_base_vertex, edge_dir, is_bounded, path_signs
+from .lattice import (cached_quotient_map, lattice_index, quotient_map,
+                      rank_int, saturate, solve_rational)
 
 NONE = "none"
 UNIQUE = "unique"
 NON_GENERAL = "non-general"
+
+
+def check_basis(n, basis):
+    """Raise ValueError unless basis is an independent, saturated set of
+    length-n vectors whose span leaves a condition on a curve in R^n."""
+    for v in basis:
+        if len(v) != n:
+            raise ValueError("constraint basis rank mismatch")
+    if basis:
+        if rank_int(basis) != len(basis):
+            raise ValueError("constraint basis must be independent")
+        if lattice_index(basis, saturate(basis)) != 1:
+            raise ValueError("constraint basis must be saturated")
+    if n - 1 - len(basis) < 1:
+        raise ValueError("constraint imposes no condition on a curve")
 
 
 @dataclass(frozen=True)
@@ -36,17 +50,7 @@ class AffineConstraint:
     basis: tuple = ()
 
     def __post_init__(self):
-        n = len(self.offset)
-        for v in self.basis:
-            if len(v) != n:
-                raise ValueError("constraint basis rank mismatch")
-        if self.basis:
-            if rank_int(self.basis) != len(self.basis):
-                raise ValueError("constraint basis must be independent")
-            if lattice_index(self.basis, saturate(self.basis)) != 1:
-                raise ValueError("constraint basis must be saturated")
-        if self.codim < 1:
-            raise ValueError("constraint imposes no condition on a curve")
+        check_basis(len(self.offset), self.basis)
 
     @property
     def n(self):

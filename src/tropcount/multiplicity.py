@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curves import edge_base_vertex, edge_dir, edge_weight, is_bounded
-from .lattice import (apply_quotient, bareiss_det, cached_quotient_map,
-                      int_matrix_inverse, lattice_index, quotient_map,
-                      rank_int, saturate, smith_normal_form)
+from .curves import edge_base_vertex, edge_dir, edge_weight
+from .lattice import (bareiss_det, cached_quotient_map, int_matrix_inverse,
+                      lattice_index, quotient_map, rank_int, saturate,
+                      smith_normal_form)
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,30 @@ def test_count_explicit_offsets_wrong_length(tmp_path, capsys):
     assert "constraints.offsets" in capsys.readouterr().err
 
 
+def set_bases(bases):
+    return lambda data: data["constraints"].update(bases=bases)
+
+
+@pytest.mark.parametrize("change, named", [
+    (set_bases([[[2, 0]], []]), "constraints.bases[0]"),
+    (set_bases([[[0, 0]], []]), "constraints.bases[0]"),
+    (set_bases([[], [[1, 0, 0]]]), "constraints.bases[1]"),
+    (lambda data: data.update(rank=3), "degree_source"),
+    (lambda data: data.update(rank="2"), "rank"),
+], ids=["not-saturated", "dependent", "wrong-length", "degree-rank",
+        "rank-not-int"])
+def test_count_bad_problem_is_rejected_before_counting(tmp_path, capsys,
+                                                       change, named):
+    data = engine.problem_to_json(engine.Problem(
+        n=2, degrees=(degrees.plane_degree(1),), constraint_bases=((), ())))
+    change(data)
+    path = write(tmp_path / "bad.json", data)
+    assert cli.main(["count", "--problem", path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err
+    assert "Traceback" not in err
+
+
 def test_types_listing(tmp_path):
     degfile = write(tmp_path / "degree.json",
                     engine.degree_to_json(degrees.plane_degree(1)))

@@ -3,8 +3,50 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tropcount import curves, degrees
+from tropcount.lattice import primitive
+
+
+def labeled_trees(e):
+    """All trivalent trees on e labeled leaves, by leaf insertion."""
+    def rec(k, edges):
+        if k == e:
+            yield edges
+            return
+        m = e + k - 2
+        for idx in range(len(edges)):
+            a, b = edges[idx]
+            rest = edges[:idx] + edges[idx + 1:]
+            yield from rec(k + 1, rest + [(a, m), (m, b), (k, m)])
+    yield from rec(3, [(0, e), (1, e), (2, e)])
+
+
+def labeled_unmarked_types(deg):
+    """Reference for unmarked_types: canonicalize every labeled tree."""
+    found = {}
+    for edges in labeled_trees(deg.e):
+        item = curves._canonicalize(edges, deg.entries, deg.n)
+        if item is None:
+            continue
+        key, comb, gens = item
+        if key not in found:
+            found[key] = (comb, gens)
+    return tuple(found[k] for k in sorted(found))
+
+
+def suite_degrees():
+    """Every refined degree with 3 <= e <= 8 of the suite's classes."""
+    sets = [degrees.preset_flag3(s, t)
+            for s, t in ((1, 1), (1, 2), (2, 1), (1, 3))]
+    sets += [degrees.octahedron_class_set(a) for a in (1, 2, 3)]
+    degs = [degrees.plane_degree(d) for d in (1, 2)]
+    for ds in sets:
+        degs += degrees.degree_set_degrees(ds)
+    found = {deg.entries: deg for deg in degs}
+    return [found[k] for k in sorted(found) if 3 <= found[k].e <= 8]
 
 
 def double_factorial_tree_count(e):
@@ -37,7 +79,52 @@ def test_make_degree_validation():
 
 def test_labeled_tree_counts():
     for e in (3, 4, 5, 6):
-        assert len(list(curves._trees(e))) == double_factorial_tree_count(e)
+        assert len(list(labeled_trees(e))) == double_factorial_tree_count(e)
+
+
+def test_unmarked_types_match_labeled_oracle():
+    degs = suite_degrees()
+    assert len(degs) == 142 and max(d.e for d in degs) == 8
+    for deg in degs:
+        assert curves.unmarked_types(deg) == labeled_unmarked_types(deg), \
+            deg.entries
+
+
+@pytest.mark.long
+def test_unmarked_types_match_labeled_oracle_plane_degree_three():
+    deg = degrees.plane_degree(3)
+    types = curves.unmarked_types(deg)
+    assert len(types) == 791
+    assert types == labeled_unmarked_types(deg)
+
+
+DIRECTIONS = {
+    2: ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1), (1, -1)),
+    3: ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 1),
+        (1, 1, 1)),
+}
+
+
+@st.composite
+def balanced_degrees(draw):
+    """Balanced degrees drawn from few directions and weights, so entries
+    repeat, with u/-u pairs whose sub-multisets sum to zero."""
+    n = draw(st.sampled_from(sorted(DIRECTIONS)))
+    entry = st.tuples(st.sampled_from(DIRECTIONS[n]), st.integers(1, 2))
+    entries = draw(st.lists(entry, min_size=1, max_size=3))
+    for u, w in draw(st.lists(entry, max_size=2)):
+        entries += [(u, w), (tuple(-x for x in u), w)]
+    total = [-sum(w * u[i] for u, w in entries) for i in range(n)]
+    if any(total):
+        entries.append(primitive(total))
+    return curves.make_degree(entries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(deg=balanced_degrees())
+def test_unmarked_types_match_labeled_oracle_random(deg):
+    assume(3 <= deg.e <= 7)
+    assert curves.unmarked_types(deg) == labeled_unmarked_types(deg)
 
 
 def test_unmarked_types_structure():
