@@ -54,10 +54,10 @@ def _library():
                     exc)
         return None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.tc_search_points.argtypes = ([i64] * 5 + [ptr] * 6 +
-                                     [ctypes.POINTER(ctypes.POINTER(i64)),
-                                      ctypes.POINTER(i64)])
-    lib.tc_search_points.restype = i64
+    lib.tc_search.argtypes = ([i64] * 5 + [ptr] * 11 +
+                              [ctypes.POINTER(ctypes.POINTER(i64)),
+                               ctypes.POINTER(i64)])
+    lib.tc_search.restype = i64
     lib.tc_free.argtypes = [ctypes.POINTER(i64)]
     lib.tc_free.restype = None
     return lib
@@ -67,48 +67,72 @@ def implementation():
     return "pure" if _library() is None else "compiled"
 
 
-def search_points(n, nb, blocks, rhs, lbounded, tdata, pj):
+def search_points(n, nb, lbounded, groups):
     """Candidate (edges, sigma) pairs of one type; see pure.search_points."""
     lib = _library()
     if lib is not None:
-        result = _search_compiled(lib, n, nb, blocks, rhs, lbounded, tdata,
-                                  pj)
+        result = _search_compiled(lib, n, nb, lbounded, groups)
         if result is not None:
             return result
         log.info("compiled kernel overflowed 2^62 on a type with %d edges; "
-                 "rerunning it in the pure lane", len(blocks))
-    return pure.search_points(n, nb, blocks, rhs, lbounded, tdata, pj)
+                 "rerunning it in the pure lane", len(lbounded))
+    return pure.search_points(n, nb, lbounded, groups)
 
 
-def _search_compiled(lib, n, nb, blocks, rhs, lbounded, tdata, pj):
+def _search_compiled(lib, n, nb, lbounded, groups):
     """pure.search_points in the C library; None on overflow."""
     import ctypes
 
     u_n = n + nb
-    ne = len(blocks)
-    r = len(blocks[0])
-    l = len(rhs[0])
-    if l * r != u_n:
+    ne = len(lbounded)
+    shape = [(len(g[1][0]), len(g[0])) for g in groups]
+    l = sum(lg for _, lg in shape)
+    if sum(r * lg for r, lg in shape) != u_n:
         raise ValueError("row count does not match unknown count")
+    zeros = (0,) * u_n
+    xidx = []
+    xrow = []
+    xrhs = []
+    for members, _, _, _, _, extra in groups:
+        for x in extra:
+            if x is None:
+                xidx.append(-1)
+            else:
+                xidx.append(len(xrow))
+                xrow.append(x[0])
+                xrhs.append(x[1] + (0,) * (l - len(members)))
     try:
         arrays = [
-            array("q", [x for block in blocks for row in block for x in row]),
-            array("q", [x for er in rhs for row in er for x in row]),
+            array("q", [x for sh in shape for x in sh]),
+            array("q", [c for g in groups for c in g[0]]),
+            array("q", [x for g in groups for block in g[1]
+                        for row in block for x in row]),
+            array("q", [x for g in groups for er in g[2]
+                        for row in er for x in row]),
             array("q", lbounded),
-            array("q", [t[1] for t in tdata]),
-            array("q", [x for t in tdata for x in t[2]]),
-            array("q", [x for row in pj for x in row]),
+            array("q", [0 if t is None else t[0]
+                        for g in groups for t in g[3]]),
+            array("q", [x for g in groups for t in g[3]
+                        for x in (zeros if t is None else t[1])]),
+            array("q", [x for g in groups for row in g[4]
+                        for x in ((0,) * len(g[0]) if row is None else row)]),
+            array("q", xidx),
+            array("q", [x for row in xrow for x in row]),
+            array("q", [x for row in xrhs for x in row]),
         ]
     except OverflowError:  # beyond int64, so beyond 2^62 as well
         return None
-    sizes = (ne * r * u_n, ne * l * r, ne, ne, ne * u_n, ne * l)
+    ng = len(groups)
+    nx = len(xrow)
+    sizes = (2 * ng, l, ne * u_n * sum(r for r, _ in shape), ne * u_n, ne,
+             ng * ne, ng * ne * u_n, ne * l, ng * ne, nx * u_n, nx * l)
     if tuple(len(a) for a in arrays) != sizes:
         raise ValueError("kernel input is not rectangular")
     out = ctypes.POINTER(ctypes.c_int64)()
     count = ctypes.c_int64()
-    status = lib.tc_search_points(n, nb, ne, r, l,
-                                  *(a.buffer_info()[0] for a in arrays),
-                                  ctypes.byref(out), ctypes.byref(count))
+    status = lib.tc_search(n, nb, ne, ng, nx,
+                           *(a.buffer_info()[0] for a in arrays),
+                           ctypes.byref(out), ctypes.byref(count))
     if status == OVERFLOW:
         return None
     if status == BAD_INPUT:

@@ -1,10 +1,10 @@
-/* Compiled lane of the point-constraint assignment search.
+/* Compiled lane of the assignment search.
  *
  * A step-for-step twin of search_points in pure.py: the same DFS over
- * edge multisets, the same fraction-free echelon, dependence check,
- * adjugate solve, sign-pruned assignment recursion and leaf checks, and
- * candidates emitted in the same order.  The library is loaded with
- * ctypes; it touches no Python object.
+ * one edge multiset per constraint group, the same fraction-free
+ * echelon, dependence check, adjugate solve, sign-pruned assignment
+ * recursion and leaf checks, and candidates emitted in the same order.
+ * The library is loaded with ctypes; it touches no Python object.
  *
  * Arithmetic is exact in 128-bit integers.  Every stored entry (inputs,
  * echelon rows, adjugate, per-slot contributions) is kept within 2^62,
@@ -13,13 +13,25 @@
  * bounds aborts with OVERFLOW and the caller reruns the pure search, so
  * results are always exact.
  *
- * Inputs are flat row-major int64 arrays, with U = n + nb unknowns,
- * E edges, r rows per block and l constraints (l * r == U):
- *   blocks[E][r][U]  coefficient block of each edge
- *   rhs[E][l][r]     right-hand sides of each edge under each constraint
- *   lbounded[E]      bounded-edge index of each edge, or -1
- *   tuj[E], hrow[E][U], pj[E][l]   parameter-recovery data (tdata, pj)
- * Candidates come out as 2*l int64 each: the edges, then sigma.
+ * Inputs are flat row-major int64 arrays, with U = n + nb unknowns, E
+ * edges, G groups of constraints sharing a basis and l constraints in
+ * all.  Group g has l_g constraints and r_g rows per edge (gshape[g] =
+ * r_g, l_g; the sum of l_g * r_g is U); the arrays marked "per group"
+ * hold group 0's part, then group 1's, and so on:
+ *   members[l]            each group's constraints, by index among all
+ *   blocks[E][r_g][U]     coefficient block of each edge (per group)
+ *   rhs[E][l_g][r_g]      its right-hand sides under each constraint
+ *                         of the group (per group)
+ *   lbounded[E]           bounded-edge index of each edge, or -1
+ *   tuj[E], hrow[E][U], pj[E][l_g]
+ *                         parameter-recovery data (per group)
+ *   xidx[E]               index of the edge's extra row, or -1 when the
+ *                         edge is not parallel to the span (per group)
+ *   xrow[X][U], xrhs[X][l]
+ *                         extra rows and their right-hand sides under
+ *                         the group's constraints (the first l_g used)
+ * Candidates come out as 2*l int64 each: the edges, then the index of
+ * the constraint each carries.
  */
 
 #include <stdint.h>
@@ -33,9 +45,18 @@ enum { OK = 0, NON_GENERAL = 1, OVERFLOW = 2, BAD_INPUT = 3, NO_MEMORY = 4 };
 #define BIG(v) ((v) > LIMIT || (v) < -LIMIT)
 
 typedef struct {
-    int64_t n, nb, u, r, l, ne;
-    const int64_t *blocks, *rhs, *lbounded, *tuj, *hrow, *pj;
+    const int64_t *blocks, *rhs, *tuj, *hrow, *pj, *xidx;
+    int64_t r, l, first;
+} Group;
+
+typedef struct {
+    int64_t n, nb, u, l, ne;
+    const int64_t *members, *lbounded, *xrow, *xrhs;
     int status;
+
+    /* per slot: its group and the offset of its rows */
+    const Group **sg;
+    int64_t *roff;
 
     /* echelon of the pushed rows: vector, multipliers, pivot */
     i128 *evec, *emult, *pivots, *w, *m;
@@ -43,6 +64,7 @@ typedef struct {
 
     /* dependence check: per-slot right-hand values of the relation */
     i128 *gvals, *gsfxmin, *gsfxmax;
+    const Group **ggroup;
     int64_t gslots;
     char *gused;
 
@@ -54,8 +76,8 @@ typedef struct {
     int64_t *out, ncand, cap;
 } Search;
 
-#define BLOCK(s, e, i, j) ((i128)(s)->blocks[((e) * (s)->r + (i)) * (s)->u + (j)])
-#define RHS(s, e, c, i) ((i128)(s)->rhs[((e) * (s)->l + (c)) * (s)->r + (i)])
+#define BLOCK(g, e, i, j, u) ((i128)(g)->blocks[((e) * (g)->r + (i)) * (u) + (j)])
+#define RHS(g, e, c, i) ((i128)(g)->rhs[((e) * (g)->l + (c)) * (g)->r + (i)])
 
 /* *x += a * b for a, b within LIMIT, whose product cannot overflow;
  * 0 if the sum does */
@@ -91,19 +113,21 @@ static int bareiss(i128 *x, i128 p, i128 f, i128 y, i128 prev)
 
 static int zero_rec(Search *s, int64_t i, i128 acc)
 {
+    const Group *g;
     int64_t c;
     if (i == s->gslots)
         return acc == 0;
     if (acc + s->gsfxmin[i] > 0 || acc + s->gsfxmax[i] < 0)
         return 0;
-    for (c = 0; c < s->l; c++) {
-        if (!s->gused[c]) {
-            s->gused[c] = 1;
+    g = s->ggroup[i];
+    for (c = 0; c < g->l; c++) {
+        if (!s->gused[g->first + c]) {
+            s->gused[g->first + c] = 1;
             if (zero_rec(s, i + 1, acc + s->gvals[i * s->l + c])) {
-                s->gused[c] = 0;
+                s->gused[g->first + c] = 0;
                 return 1;
             }
-            s->gused[c] = 0;
+            s->gused[g->first + c] = 0;
         }
     }
     return 0;
@@ -117,7 +141,7 @@ static int exists_zero(Search *s)
     s->gsfxmax[s->gslots] = 0;
     for (k = s->gslots - 1; k >= 0; k--) {
         i128 lo = s->gvals[k * l], hi = lo;
-        for (c = 1; c < l; c++) {
+        for (c = 1; c < s->ggroup[k]->l; c++) {
             i128 v = s->gvals[k * l + c];
             if (v < lo)
                 lo = v;
@@ -137,14 +161,14 @@ static int exists_zero(Search *s)
  * assignment makes the relation consistent); -1 on overflow. */
 static int push_row(Search *s, int64_t e, int64_t ridx, int64_t slot)
 {
-    int64_t u = s->u, r = s->r, l = s->l, i, j, k, c;
+    int64_t u = s->u, i, j, k, c;
     i128 *w = s->w, *m = s->m, prev = 1;
 
     for (j = 0; j < u; j++) {
-        w[j] = BLOCK(s, e, ridx, j);
+        w[j] = BLOCK(s->sg[slot], e, ridx, j, u);
         m[j] = 0;
     }
-    m[slot * r + ridx] = 1;
+    m[s->roff[slot] + ridx] = 1;
     for (i = 0; i < s->nech; i++) {
         i128 p = s->pivots[i], f = w[s->pivcol[i]];
         const i128 *ev = s->evec + i * u, *em = s->emult + i * u;
@@ -170,23 +194,24 @@ static int push_row(Search *s, int64_t e, int64_t ridx, int64_t slot)
     }
     s->gslots = 0;
     for (k = 0; k <= slot; k++) {
+        const Group *g = s->sg[k];
         int have = 0;
-        for (c = 0; c < l; c++) {
-            i128 g = 0;
-            for (j = 0; j < r; j++) {
-                i128 mu = m[k * r + j];
+        for (c = 0; c < g->l; c++) {
+            i128 v = 0;
+            for (j = 0; j < g->r; j++) {
+                i128 mu = m[s->roff[k] + j];
                 if (mu != 0) {
                     have = 1;
-                    if (!add_product(&g, mu, RHS(s, s->chosen[k], c, j)))
+                    if (!add_product(&v, mu, RHS(g, s->chosen[k], c, j)))
                         return -1;
                 }
             }
-            if (BIG(g))
+            if (BIG(v))
                 return -1;
-            s->gvals[s->gslots * l + c] = g;
+            s->gvals[s->gslots * s->l + c] = v;
         }
         if (have)
-            s->gslots++;
+            s->ggroup[s->gslots++] = g;
     }
     if (exists_zero(s))
         s->status = NON_GENERAL;
@@ -202,9 +227,9 @@ static int adjugate(Search *s)
     i128 *a = s->adjm, sign = 1, prev = 1;
 
     for (k = 0; k < s->l; k++) {
-        for (ridx = 0; ridx < s->r; ridx++, row++) {
+        for (ridx = 0; ridx < s->sg[k]->r; ridx++, row++) {
             for (j = 0; j < u; j++) {
-                a[row * w2 + j] = BLOCK(s, s->chosen[k], ridx, j);
+                a[row * w2 + j] = BLOCK(s->sg[k], s->chosen[k], ridx, j, u);
                 a[row * w2 + u + j] = row == j;
             }
         }
@@ -259,7 +284,7 @@ static void emit(Search *s)
     row = s->out + s->ncand * 2 * l;
     for (k = 0; k < l; k++) {
         row[k] = s->chosen[k];
-        row[l + k] = s->sigma[k];
+        row[l + k] = s->members[s->sg[k]->first + s->sigma[k]];
     }
     s->ncand++;
 }
@@ -271,6 +296,24 @@ static int leaf_checks(Search *s)
     const i128 *acc = s->acc + s->l * u;
     int pos = s->det > 0;
 
+    /* an edge parallel to its span has one row more than the search
+     * used: a nonzero residual means no solution at all */
+    for (k = 0; k < s->l; k++) {
+        int64_t x = s->sg[k]->xidx[s->chosen[k]];
+        i128 res;
+        if (x < 0)
+            continue;
+        res = s->det * (i128)s->xrhs[x * s->l + s->sigma[k]];
+        for (i = 0; i < u; i++) {
+            i128 h = s->xrow[x * u + i];
+            if (h != 0 && !sub_product(&res, h, acc[i])) {
+                s->status = OVERFLOW;
+                return 0;
+            }
+        }
+        if (res != 0)
+            return 0;
+    }
     for (b = 0; b < s->nb; b++) {
         i128 q = acc[n + b];
         if (q == 0) {
@@ -281,11 +324,18 @@ static int leaf_checks(Search *s)
             return 0;
     }
     for (k = 0; k < s->l; k++) {
+        const Group *g = s->sg[k];
         int64_t e = s->chosen[k], lb = s->lbounded[e];
-        i128 uj = s->tuj[e], du = pos ? uj : -uj;
-        i128 tt = s->det * (i128)s->pj[e * s->l + s->sigma[k]];
+        i128 uj = g->tuj[e], du = pos ? uj : -uj, tt;
+        if (g->xidx[e] >= 0) {
+            /* consistent although overdetermined: the marked point is
+             * free along its edge */
+            s->status = NON_GENERAL;
+            return 0;
+        }
+        tt = s->det * (i128)g->pj[e * g->l + s->sigma[k]];
         for (i = 0; i < u; i++) {
-            i128 h = s->hrow[e * u + i];
+            i128 h = g->hrow[e * u + i];
             if (h != 0 && !sub_product(&tt, h, acc[i])) {
                 s->status = OVERFLOW;
                 return 0;
@@ -318,6 +368,7 @@ static void assign_rec(Search *s, int64_t k)
 {
     int64_t u = s->u, i, c;
     const i128 *acc = s->acc + k * u;
+    const Group *g;
     int pos = s->det > 0;
 
     if (s->status != OK)
@@ -336,27 +387,28 @@ static void assign_rec(Search *s, int64_t k)
             emit(s);
         return;
     }
-    for (c = 0; c < s->l; c++) {
-        if (!s->used[c]) {
+    g = s->sg[k];
+    for (c = 0; c < g->l; c++) {
+        if (!s->used[g->first + c]) {
             const i128 *v = s->vval + (k * s->l + c) * u;
             i128 *next = s->acc + (k + 1) * u;
-            s->used[c] = 1;
+            s->used[g->first + c] = 1;
             s->sigma[k] = c;
             for (i = 0; i < u; i++)
                 next[i] = acc[i] + v[i];
             assign_rec(s, k + 1);
-            s->used[c] = 0;
+            s->used[g->first + c] = 0;
             if (s->status != OK)
                 return;
         }
     }
 }
 
-/* Full-rank subset: solve by adjugate, then branch over injective
- * constraint assignments with sign pruning. */
+/* Full-rank subset: solve by adjugate, then branch over constraint
+ * assignments, injective inside each group, with sign pruning. */
 static void full_subset(Search *s)
 {
-    int64_t u = s->u, l = s->l, r = s->r, k, c, i, j;
+    int64_t u = s->u, l = s->l, k, c, i, j;
     int res = adjugate(s);
 
     if (res < 0) {
@@ -365,17 +417,19 @@ static void full_subset(Search *s)
     }
     if (res == 0)
         return;
-    /* vval[k][c] = contribution of slot k under constraint c to adj * b */
+    /* vval[k][c] = contribution of slot k under its group's c-th
+     * constraint to adj * b */
     for (k = 0; k < l; k++) {
+        const Group *g = s->sg[k];
         int64_t e = s->chosen[k];
         i128 *vmin = s->sfxmin + k * u, *vmax = s->sfxmax + k * u;
-        for (c = 0; c < l; c++) {
+        for (c = 0; c < g->l; c++) {
             i128 *v = s->vval + (k * l + c) * u;
             for (i = 0; i < u; i++) {
                 i128 sum = 0;
-                for (j = 0; j < r; j++) {
-                    i128 q = RHS(s, e, c, j);
-                    if (q != 0 && !add_product(&sum, s->adjm[i * 2 * u + u + k * r + j], q)) {
+                for (j = 0; j < g->r; j++) {
+                    i128 q = RHS(g, e, c, j);
+                    if (q != 0 && !add_product(&sum, s->adjm[i * 2 * u + u + s->roff[k] + j], q)) {
                         s->status = OVERFLOW;
                         return;
                     }
@@ -418,11 +472,14 @@ static void dfs(Search *s, int64_t start, int64_t depth)
         full_subset(s);
         return;
     }
+    /* a group's edges form a multiset: non-decreasing within it */
+    if (depth == 0 || s->sg[depth - 1] != s->sg[depth])
+        start = 0;
     for (e = start; e < s->ne; e++) {
         int64_t saved = s->nech;
         int dead = 0;
         s->chosen[depth] = e;
-        for (ridx = 0; ridx < s->r; ridx++) {
+        for (ridx = 0; ridx < s->sg[depth]->r; ridx++) {
             int res = push_row(s, e, ridx, depth);
             if (res < 0) {
                 s->status = OVERFLOW;
@@ -453,55 +510,89 @@ static int all_small(const int64_t *v, int64_t len)
 /* Returns OK, NON_GENERAL, OVERFLOW, BAD_INPUT or NO_MEMORY.  On OK,
  * *out holds *ncand candidates (free it with tc_free); otherwise *out
  * is NULL. */
-int64_t tc_search_points(int64_t n, int64_t nb, int64_t ne, int64_t r, int64_t l,
-                         const int64_t *blocks, const int64_t *rhs,
-                         const int64_t *lbounded, const int64_t *tuj,
-                         const int64_t *hrow, const int64_t *pj,
-                         int64_t **out, int64_t *ncand)
+int64_t tc_search(int64_t n, int64_t nb, int64_t ne, int64_t ng, int64_t nx,
+                  const int64_t *gshape, const int64_t *members,
+                  const int64_t *blocks, const int64_t *rhs,
+                  const int64_t *lbounded, const int64_t *tuj,
+                  const int64_t *hrow, const int64_t *pj, const int64_t *xidx,
+                  const int64_t *xrow, const int64_t *xrhs,
+                  int64_t **out, int64_t *ncand)
 {
     Search s = {0};
-    int64_t u = n + nb, e;
+    Group *groups;
+    int64_t u = n + nb, l = 0, rows = 0, sumr = 0, e, g, k;
     size_t nwide, nint;
     i128 *wide;
     int64_t *ints;
 
     *out = NULL;
     *ncand = 0;
-    if (n < 0 || nb < 0 || ne < 1 || r < 1 || l < 1 || l * r != u)
+    if (n < 0 || nb < 0 || ne < 1 || ng < 1 || nx < 0)
+        return BAD_INPUT;
+    for (g = 0; g < ng; g++) {
+        if (gshape[2 * g] < 1 || gshape[2 * g + 1] < 1)
+            return BAD_INPUT;
+        l += gshape[2 * g + 1];
+        sumr += gshape[2 * g];
+        rows += gshape[2 * g] * gshape[2 * g + 1];
+    }
+    if (rows != u)
         return BAD_INPUT;
     for (e = 0; e < ne; e++)
         if (lbounded[e] < -1 || lbounded[e] >= nb)
             return BAD_INPUT;
-    if (!all_small(blocks, ne * r * u) || !all_small(rhs, ne * l * r) ||
-        !all_small(tuj, ne) || !all_small(hrow, ne * u) || !all_small(pj, ne * l))
+    for (k = 0; k < ng * ne; k++)
+        if (xidx[k] < -1 || xidx[k] >= nx)
+            return BAD_INPUT;
+    groups = malloc((size_t)ng * sizeof *groups);
+    if (!groups)
+        return NO_MEMORY;
+    for (g = 0; g < ng; g++) {
+        Group *gr = &groups[g];
+        gr->r = gshape[2 * g];
+        gr->l = gshape[2 * g + 1];
+        gr->first = g ? groups[g - 1].first + groups[g - 1].l : 0;
+        gr->blocks = g ? groups[g - 1].blocks + ne * groups[g - 1].r * u : blocks;
+        gr->rhs = g ? groups[g - 1].rhs + ne * groups[g - 1].l * groups[g - 1].r : rhs;
+        gr->tuj = tuj + g * ne;
+        gr->hrow = hrow + g * ne * u;
+        gr->pj = g ? groups[g - 1].pj + ne * groups[g - 1].l : pj;
+        gr->xidx = xidx + g * ne;
+    }
+    if (!all_small(blocks, ne * sumr * u) || !all_small(rhs, ne * u) ||
+        !all_small(tuj, ng * ne) || !all_small(hrow, ng * ne * u) ||
+        !all_small(pj, ne * l) || !all_small(xrow, nx * u) ||
+        !all_small(xrhs, nx * l)) {
+        free(groups);
         return OVERFLOW;
+    }
 
     s.n = n;
     s.nb = nb;
     s.u = u;
-    s.r = r;
     s.l = l;
     s.ne = ne;
-    s.blocks = blocks;
-    s.rhs = rhs;
+    s.members = members;
     s.lbounded = lbounded;
-    s.tuj = tuj;
-    s.hrow = hrow;
-    s.pj = pj;
+    s.xrow = xrow;
+    s.xrhs = xrhs;
 
     nwide = (size_t)(2 * u * u + 3 * u      /* evec, emult, pivots, w, m */
                      + l * l + 2 * (l + 1)  /* gvals, gsfxmin, gsfxmax */
                      + 2 * u * u            /* adjm */
                      + l * l * u            /* vval */
                      + 3 * (l + 1) * u);    /* sfxmin, sfxmax, acc */
-    nint = (size_t)(u + 2 * l);             /* pivcol, chosen, sigma */
+    nint = (size_t)(u + 3 * l);             /* pivcol, chosen, sigma, roff */
     wide = malloc(nwide * sizeof *wide);
     ints = malloc(nint * sizeof *ints);
+    s.sg = malloc((size_t)(2 * l) * sizeof *s.sg);
     s.gused = malloc((size_t)(2 * l));
-    if (!wide || !ints || !s.gused) {
+    if (!wide || !ints || !s.sg || !s.gused) {
         free(wide);
         free(ints);
+        free(s.sg);
         free(s.gused);
+        free(groups);
         return NO_MEMORY;
     }
     s.evec = wide;
@@ -520,13 +611,25 @@ int64_t tc_search_points(int64_t n, int64_t nb, int64_t ne, int64_t r, int64_t l
     s.pivcol = ints;
     s.chosen = s.pivcol + u;
     s.sigma = s.chosen + l;
+    s.roff = s.sigma + l;
+    s.ggroup = s.sg + l;
     s.used = s.gused + l;
+    for (g = 0, k = 0, rows = 0; g < ng; g++) {
+        int64_t c;
+        for (c = 0; c < groups[g].l; c++, k++) {
+            s.sg[k] = &groups[g];
+            s.roff[k] = rows;
+            rows += groups[g].r;
+        }
+    }
 
     dfs(&s, 0, 0);
 
     free(wide);
     free(ints);
+    free(s.sg);
     free(s.gused);
+    free(groups);
     if (s.status != OK) {
         free(s.out);
         return s.status;

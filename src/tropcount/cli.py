@@ -6,6 +6,7 @@ a toric refinement certificate, and emit preset problem skeletons.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -18,12 +19,11 @@ def _load(path):
 
 
 def _emit(data, out=None):
-    text = json.dumps(data, sort_keys=True, indent=2)
-    if out:
-        with open(out, "w") as fp:
-            fp.write(text + "\n")
-    else:
-        print(text)
+    """Write data as indented JSON and a newline, to the file out or
+    else to standard output, chunk by chunk rather than as one string."""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fp:
+        json.dump(data, fp, sort_keys=True, indent=2)
+        fp.write("\n")
 
 
 def _cmd_count(args):

@@ -9,19 +9,20 @@ the constraint-independent invariant.
 
 from __future__ import annotations
 
-import itertools
 import json
+import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 from . import _kernel
 from .curves import (CombType, Degree, edge_base_vertex, edge_count,
-                     edge_dir, make_degree, orbit_min, path_signs,
-                     unmarked_types)
+                     edge_dir, enumerate_types, make_degree, orbit_min,
+                     path_signs, unmarked_types)
 from .lattice import cached_quotient_map, quotient_map
 from .matching import (NON_GENERAL, UNIQUE, AffineConstraint, check_basis,
                        generate_constraints, match_constraints,
@@ -29,6 +30,8 @@ from .matching import (NON_GENERAL, UNIQUE, AffineConstraint, check_basis,
 from .multiplicity import total_multiplicity
 
 MAX_RETRIES = 32
+
+log = logging.getLogger("tropcount")
 
 ODD_VANISHING_NOTE = ("an insertion from odd cohomology forces the "
                       "invariant to vanish")
@@ -81,6 +84,14 @@ class CountReport:
     note: str = ""
 
 
+def _groups(constraints):
+    """(basis, constraint indices) pairs, in order of first use."""
+    groups = {}
+    for i, c in enumerate(constraints):
+        groups.setdefault(c.basis, []).append(i)
+    return list(groups.items())
+
+
 def _constraints_for(problem, seed, retry):
     if problem.offsets is not None:
         if retry > 0:
@@ -94,50 +105,65 @@ def _constraints_for(problem, seed, retry):
 
 
 def _kernel_inputs(comb, constraints):
-    """Coefficient blocks, right-hand sides and parameter-recovery data
-    for the uniform point-constraint search."""
+    """Search inputs of one type: per group of constraints sharing a
+    basis, each edge's coefficient block and right-hand sides in the
+    quotient by the edge direction and the basis, and the data that
+    recovers the parameter along the edge (see _kernel.pure)."""
     n = comb.n
     nb = len(comb.bounded)
-    u_n = n + nb
     sign = path_signs(comb)
-    ne = edge_count(comb)
-    blocks = []
-    rhs = []
-    lbounded = []
-    tdata = []
-    pj = []
-    for eid in range(ne):
-        u = edge_dir(comb, eid)
-        v = edge_base_vertex(comb, eid)
-        w = cached_quotient_map([u], n, quotient_map)
-        ncols = len(w[0]) if w and len(w) else 0
-        rows = []
-        for col in range(ncols):
-            row = [0] * u_n
-            for j in range(n):
-                row[j] = w[j][col]
-            for b in range(nb):
-                if sign[v][b]:
-                    ub = comb.bounded[b][3]
-                    row[n + b] = sign[v][b] * sum(
-                        ub[j] * w[j][col] for j in range(n))
-            rows.append(tuple(row))
-        blocks.append(tuple(rows))
-        rhs.append(tuple(
-            tuple(sum(c.offset[j] * w[j][col] for j in range(n))
-                  for col in range(ncols))
-            for c in constraints))
-        j0 = next(j for j in range(n) if u[j])
-        hrow = [0] * u_n
-        hrow[j0] = 1
-        for b in range(nb):
-            if sign[v][b]:
-                hrow[n + b] = sign[v][b] * comb.bounded[b][3][j0]
-        tdata.append((j0, u[j0], tuple(hrow)))
-        pj.append(tuple(c.offset[j0] for c in constraints))
-        lbounded.append(eid if eid < nb else -1)
-    return n, nb, tuple(blocks), tuple(rhs), tuple(lbounded), tuple(tdata), \
-        tuple(pj)
+    edges = []
+    for eid in range(edge_count(comb)):
+        s = sign[edge_base_vertex(comb, eid)]
+        # the bounded edges on the path from the root, with their signs
+        path = [(n + b, s[b], comb.bounded[b][3])
+                for b in range(nb) if s[b]]
+        edges.append((edge_dir(comb, eid), path))
+    pad = [0] * nb
+
+    def unknowns(col, path):
+        """Coefficients of the root and the lengths in one quotient
+        coordinate col of a point on an edge."""
+        out = list(col) + pad
+        for i, s, ub in path:
+            out[i] = s * sum(map(mul, ub, col))
+        return tuple(out)
+
+    groups = []
+    for basis, members in _groups(constraints):
+        offsets = [constraints[i].offset for i in members]
+        r = n - 1 - len(basis)
+        span = tuple(zip(*cached_quotient_map(basis, n, quotient_map)))
+        blocks, rhs, tdata, pj, extra = [], [], [], [], []
+        for u, path in edges:
+            cols = tuple(zip(*cached_quotient_map([u, *basis], n,
+                                                  quotient_map)))
+            blocks.append(tuple([unknowns(col, path) for col in cols[:r]]))
+            rhs.append(tuple([tuple([sum(map(mul, off, col))
+                                     for col in cols[:r]])
+                              for off in offsets]))
+            if len(cols) > r:
+                # u lies in the span: one row more, and no parameter
+                col = cols[r]
+                extra.append((unknowns(col, path),
+                              tuple([sum(map(mul, off, col))
+                                     for off in offsets])))
+                tdata.append(None)
+                pj.append(None)
+                continue
+            # the parameter, read in the first nonzero coordinate of u
+            # in the quotient by the basis
+            for col in span:
+                uj = sum(map(mul, u, col))
+                if uj:
+                    break
+            tdata.append((uj, unknowns(col, path)))
+            pj.append(tuple([sum(map(mul, off, col)) for off in offsets]))
+            extra.append(None)
+        groups.append((tuple(members), tuple(blocks), tuple(rhs),
+                       tuple(tdata), tuple(pj), tuple(extra)))
+    lbounded = tuple([e if e < nb else -1 for e in range(len(edges))])
+    return n, nb, lbounded, tuple(groups)
 
 
 def _finish_candidate(comb, markings, constraints):
@@ -158,26 +184,24 @@ def _finish_candidate(comb, markings, constraints):
     return CurveRecord(t, mult, out.solution)
 
 
-def _count_type_points(task):
-    """Worker: count one unmarked type against point constraints."""
+def _count_type(task):
+    """Worker: the curves of one unmarked type through the constraints,
+    or None when the offsets are not general for it.  Curves come in
+    the order of their marking tuples."""
     comb, gens, constraints = task
-    inputs = _kernel_inputs(comb, constraints)
-    status, cands = _kernel.search_points(*inputs)
+    status, cands = _kernel.search_points(*_kernel_inputs(comb, constraints))
     if status == _kernel.STATUS_NON_GENERAL:
         return None
-    curves = []
-    seen = set()
-    l = len(constraints)
+    found = set()
     for edges, sigma in cands:
-        markings = [0] * l
-        for k, e in enumerate(edges):
-            markings[sigma[k]] = e
+        markings = [0] * len(constraints)
+        for e, c in zip(edges, sigma):
+            markings[c] = e
         markings = tuple(markings)
-        if markings in seen:
-            continue
-        seen.add(markings)
-        if gens and orbit_min(markings, gens) != markings:
-            continue
+        if not gens or orbit_min(markings, gens) == markings:
+            found.add(markings)
+    curves = []
+    for markings in sorted(found):
         rec = _finish_candidate(comb, markings, constraints)
         if rec is None:
             return None
@@ -185,41 +209,9 @@ def _count_type_points(task):
     return curves
 
 
-def _count_type_mixed(task):
-    """Worker: count one unmarked type by exhausting assignments."""
-    comb, gens, constraints = task
-    l = len(constraints)
-    ecount = edge_count(comb)
-    curves = []
-    for assign in itertools.product(range(ecount), repeat=l):
-        if gens and orbit_min(assign, gens) != assign:
-            continue
-        t = replace(comb, markings=tuple(assign))
-        out = match_constraints(t, constraints)
-        if out.status == NON_GENERAL:
-            return None
-        if out.status != UNIQUE:
-            continue
-        ok, problems = verify_general(t, out.solution, constraints)
-        if not ok:
-            raise RuntimeError("internal: solution fails verification: %s"
-                               % problems)
-        mult = total_multiplicity(t, constraints)
-        curves.append(CurveRecord(t, mult, out.solution))
-    return curves
-
-
-def _search_lane(problem):
-    """The search lane a count reports.  Only point constraints run the
-    search, so no other count selects, or builds, the compiled lane."""
-    if any(problem.constraint_bases):
-        return "pure"
-    return _kernel.implementation()
-
-
-def _count_degenerate(deg, constraints):
-    from .curves import enumerate_types
-    t = enumerate_types(deg, len(constraints))[0]
+def _count_degenerate(t, constraints):
+    """Curves of the one type of a two-ended degree, or None when the
+    offsets are not general for it."""
     out = match_constraints(t, constraints)
     if out.status == NON_GENERAL:
         return None
@@ -232,28 +224,30 @@ def _count_degenerate(deg, constraints):
 
 
 def _count_one_degree(deg, constraints, pool, workers):
-    """Curves of one degree, or None on a non-general hit."""
+    """(curves of one degree, None), or (None, the first type whose
+    offsets are not general)."""
     if deg.e == 2:
-        return _count_degenerate(deg, constraints)
-    points_only = all(not c.basis for c in constraints)
-    worker = _count_type_points if points_only else _count_type_mixed
+        t = enumerate_types(deg, len(constraints))[0]
+        curves = _count_degenerate(t, constraints)
+        return (None, t) if curves is None else (curves, None)
     tasks = [(comb, gens, tuple(constraints))
              for comb, gens in unmarked_types(deg)]
     if pool is None:
-        results = map(worker, tasks)
+        results = map(_count_type, tasks)
     else:
         chunk = max(1, len(tasks) // (workers * 4))
-        results = pool.map(worker, tasks, chunksize=chunk)
+        results = pool.map(_count_type, tasks, chunksize=chunk)
     curves = []
-    failed = False
-    for res in results:
+    failed = None
+    for task, res in zip(tasks, results):
         if res is None:
-            failed = True
-        elif not failed:
+            if failed is None:
+                failed = task[0]
+        elif failed is None:
             curves.extend(res)
-    if failed:
-        return None
-    return curves
+    if failed is not None:
+        return None, failed
+    return curves, None
 
 
 def count_invariant(problem, seed=0, workers=1):
@@ -265,7 +259,7 @@ def count_invariant(problem, seed=0, workers=1):
     """
     t0 = time.perf_counter()
     # selected before the pool starts, so workers inherit the lane
-    kernel = _search_lane(problem)
+    kernel = _kernel.implementation()
     if problem.odd_insertions:
         return CountReport(
             total=odd_class_vanishing(),
@@ -291,20 +285,24 @@ def count_invariant(problem, seed=0, workers=1):
         for retry in range(MAX_RETRIES):
             constraints = _constraints_for(problem, seed, retry)
             reports = []
-            hit_non_general = False
+            bad = None
             for deg, act in zip(problem.degrees, active):
                 if not act:
                     reports.append(DegreeReport(deg, False, 0, (),
                                                 DIMENSION_NOTE))
                     continue
-                curves = _count_one_degree(deg, constraints, pool, workers)
-                if curves is None:
-                    hit_non_general = True
+                curves, bad = _count_one_degree(deg, constraints, pool,
+                                                workers)
+                if bad is not None:
+                    log.info("offsets of retry %d are not general for "
+                             "degree %s at type %s; re-sampling", retry,
+                             json.dumps(degree_to_json(deg)),
+                             json.dumps(comb_type_to_json(bad)))
                     break
                 subtotal = sum(c.multiplicity.total for c in curves)
                 reports.append(DegreeReport(deg, True, subtotal,
                                             tuple(curves)))
-            if not hit_non_general:
+            if bad is None:
                 total = sum(r.subtotal for r in reports)
                 return CountReport(
                     total=total, per_degree=tuple(reports),

@@ -123,6 +123,28 @@ def test_types_listing(tmp_path):
     assert all(len(t["markings"]) == 1 for t in data["types"])
 
 
+@pytest.mark.parametrize("to_file", [True, False])
+def test_output_is_indented_json_text(tmp_path, capsys, to_file):
+    """Output is streamed, and its bytes are json.dumps(sort_keys=True,
+    indent=2) and a newline, for a count report and a types listing."""
+    prob = engine.Problem(n=2, degrees=(degrees.plane_degree(1),),
+                          constraint_bases=((), ()),
+                          offsets=((0, 0), (5, 7)))
+    runs = [["count", "--problem",
+             write(tmp_path / "problem.json", engine.problem_to_json(prob))],
+            ["types", "--marks", "1", "--degree",
+             write(tmp_path / "degree.json",
+                   engine.degree_to_json(degrees.plane_degree(2)))]]
+    for i, args in enumerate(runs):
+        out = tmp_path / ("out%d.json" % i)
+        assert cli.main(args + (["--out", str(out)] if to_file else [])) == 0
+        text = out.read_bytes().decode() if to_file else \
+            capsys.readouterr().out
+        assert text == json.dumps(json.loads(text), sort_keys=True,
+                                  indent=2) + "\n"
+        assert json.loads(text)["total" if i == 0 else "count"] > 0
+
+
 def test_constraints_deterministic(tmp_path):
     spec = write(tmp_path / "spec.json",
                  {"rank": 3, "bases": [[], [[0, 0, 1]]], "bound": 9})

@@ -1,14 +1,23 @@
 """Counting engine: axioms, oracle, JSON schemas, lanes, regressions."""
 
+import itertools
 import json
+import logging
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tropcount import _kernel, curves, degrees, engine
+from tropcount import _kernel, curves, degrees, engine, matching
+from tropcount._kernel import pure
+from tropcount.matching import (NON_GENERAL, UNIQUE, AffineConstraint,
+                                match_constraints, verify_general)
+from tropcount.multiplicity import total_multiplicity
 
 
 def octahedron_problem(a, bases, **kw):
@@ -91,6 +100,8 @@ def test_count_report_fields():
     assert rep.timing > 0
 
 
+@pytest.mark.skipif(bool(os.environ.get("TROPCOUNT_PURE")),
+                    reason="TROPCOUNT_PURE forces the pure lane")
 def test_compiled_kernel_is_available():
     assert _kernel.implementation() == "compiled"
 
@@ -227,13 +238,187 @@ def test_problem_json_offsets_must_fit():
         engine.problem_from_json(data)
 
 
-def test_mixed_count_leaves_the_lane_unselected(monkeypatch):
-    def selected():
-        raise AssertionError("the lane was selected")
+LINES = degrees.OCTAHEDRON_PAIRS
+# one point and two lines, over every distribution of the two line
+# directions (acceptance criterion 6)
+LINE_DISTRIBUTIONS = [((), (LINES[i],), (LINES[j],))
+                      for i in range(len(LINES))
+                      for j in range(i, len(LINES))]
 
-    monkeypatch.setattr(_kernel, "implementation", selected)
-    prob = octahedron_problem(1, (((0, 0, 1),), ((0, 1, 0),)))
-    assert engine.count_invariant(prob, seed=1).kernel == "pure"
+
+def test_mixed_count_runs_the_search(monkeypatch):
+    """A count with line conditions runs the selected lane's search on
+    every type and solves exactly only the candidates it returns."""
+    calls = {"search": 0, "match": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(_kernel, "search_points",
+                        counted("search", _kernel.search_points))
+    monkeypatch.setattr(engine, "match_constraints",
+                        counted("match", engine.match_constraints))
+    rep = engine.count_invariant(octahedron_problem(2, LINE_DISTRIBUTIONS[1]),
+                                 seed=1)
+    assert rep.total == 3 and rep.genericity_retries == 0
+    assert rep.kernel == _kernel.implementation()
+    types = sum(len(curves.unmarked_types(r.degree))
+                for r in rep.per_degree if r.active)
+    assert calls["search"] == types > 0
+    assert calls["match"] == sum(len(r.curves) for r in rep.per_degree) > 0
+
+
+def test_each_genericity_retry_is_logged(caplog):
+    """Offsets within +-1 collide, so this count re-samples twice."""
+    prob = engine.Problem(n=2, degrees=(degrees.plane_degree(1),),
+                          constraint_bases=((), ()), bound=1)
+    with caplog.at_level(logging.INFO, logger="tropcount"):
+        rep = engine.count_invariant(prob, seed=2)
+    assert rep.total == 1 and rep.genericity_retries == 2
+    lines = [r.getMessage() for r in caplog.records
+             if "not general" in r.getMessage()]
+    assert len(lines) == 2
+    deg = json.dumps(engine.degree_to_json(degrees.plane_degree(1)))
+    for retry, line in enumerate(lines):
+        assert line.startswith("offsets of retry %d are not general for "
+                               "degree %s at type {" % (retry, deg))
+
+
+def exhaustive_curves(task):
+    """The curves of one unmarked type by solving every marking tuple
+    exactly: the exhaustive path the assignment search replaced, kept
+    as its oracle.  None when some tuple is not general."""
+    comb, gens, constraints = task
+    out = []
+    for assign in itertools.product(range(curves.edge_count(comb)),
+                                    repeat=len(constraints)):
+        if gens and curves.orbit_min(assign, gens) != assign:
+            continue
+        t = replace(comb, markings=assign)
+        res = match_constraints(t, constraints)
+        if res.status == NON_GENERAL:
+            return None
+        if res.status != UNIQUE:
+            continue
+        ok, problems = verify_general(t, res.solution, constraints)
+        assert ok, problems
+        out.append(engine.CurveRecord(t, total_multiplicity(t, constraints),
+                                      res.solution))
+    return out
+
+
+def mixed_tasks(constraints):
+    """Worker tasks of every type that one point and two lines cut."""
+    degs = degrees.degree_set_degrees(degrees.octahedron_class_set(2))
+    return [(comb, gens, tuple(constraints)) for deg in degs if deg.e == 4
+            for comb, gens in curves.unmarked_types(deg)]
+
+
+def assert_worker_matches_oracle(bases, seed):
+    cons = matching.generate_constraints(3, bases, seed, 10 ** 6)
+    for task in mixed_tasks(cons):
+        assert engine._count_type(task) == exhaustive_curves(task)
+
+
+@pytest.mark.parametrize("seed", [
+    1, pytest.param(2, marks=pytest.mark.long),
+    pytest.param(3, marks=pytest.mark.long)])
+@pytest.mark.parametrize("bases", LINE_DISTRIBUTIONS)
+def test_worker_matches_exhaustive_oracle(bases, seed):
+    """Type by type: the same status, markings, multiplicities and
+    exact solutions."""
+    assert_worker_matches_oracle(bases, seed)
+
+
+@settings(max_examples=3, deadline=None)
+@given(bases=st.sampled_from(LINE_DISTRIBUTIONS),
+       seed=st.integers(4, 2 ** 31))
+def test_worker_matches_exhaustive_oracle_random(bases, seed):
+    assert_worker_matches_oracle(bases, seed)
+
+
+def test_curves_of_a_type_come_in_marking_order():
+    """Four lines: seed 2 gives one type two curves."""
+    rep = engine.count_invariant(octahedron_problem(2, tuple(
+        (v,) for v in LINES)), seed=2)
+    assert rep.total == 4
+    by_type = {}
+    for r in rep.per_degree:
+        for c in r.curves:
+            by_type.setdefault(replace(c.type, markings=()), []).append(
+                c.type.markings)
+    assert max(len(m) for m in by_type.values()) == 2
+    for marks in by_type.values():
+        assert marks == sorted(marks)
+
+
+def curve_positions(rec):
+    """Vertex positions of a matched curve; integral in the cases
+    below."""
+    t, sol = rec.type, rec.solution
+    sign = curves.path_signs(t)
+    out = []
+    for v in range(t.vertices):
+        pos = [sol.root[j] + sum(sign[v][b] * sol.lengths[b] * ub[j]
+                                 for b, (_, _, _, ub) in enumerate(t.bounded))
+               for j in range(t.n)]
+        assert all(x.denominator == 1 for x in pos)
+        out.append(tuple(int(x) for x in pos))
+    return out
+
+
+def moved_constraint_cases():
+    """Constraint tuples, each a curve of criterion 6 (seed 1) with one
+    offset moved onto the curve so that the configuration is not
+    general: a line through a point of an end parallel to it, or the
+    point condition at a vertex.  Yields (why, type, markings,
+    constraints); under those markings the system is consistent but
+    degenerate."""
+    bases = LINE_DISTRIBUTIONS[1]
+    cons = matching.generate_constraints(3, bases, 1, 10 ** 6)
+    rep = engine.count_invariant(
+        octahedron_problem(2, bases, offsets=[c.offset for c in cons]))
+    for rec in (c for r in rep.per_degree for c in r.curves):
+        t = rec.type
+        pos = curve_positions(rec)
+        for i, basis in enumerate(bases):
+            for k, (v, _, u) in enumerate(t.ends):
+                if basis and u in (basis[0], tuple(-x for x in basis[0])):
+                    moved = list(cons)
+                    moved[i] = AffineConstraint(
+                        tuple(p + d for p, d in zip(pos[v], u)), basis)
+                    marks = list(t.markings)
+                    marks[i] = len(t.bounded) + k
+                    yield "parallel end", t, tuple(marks), moved
+        moved = list(cons)
+        moved[0] = AffineConstraint(pos[0], ())
+        edge = next(e for e in range(curves.edge_count(t))
+                    if curves.edge_base_vertex(t, e) == 0)
+        marks = (edge,) + t.markings[1:]
+        yield "point at a vertex", t, marks, moved
+
+
+def test_moved_offsets_are_flagged_by_both_paths():
+    seen = set()
+    for why, t, marks, cons in moved_constraint_cases():
+        seen.add(why)
+        assert match_constraints(replace(t, markings=marks),
+                                 cons).status == NON_GENERAL
+        comb = replace(t, markings=())
+        (gens,) = [g for c, g, _ in mixed_tasks(cons) if c == comb]
+        assert exhaustive_curves((comb, gens, cons)) is None
+        assert engine._count_type((comb, gens, cons)) is None
+        inputs = engine._kernel_inputs(comb, cons)
+        assert _kernel.search_points(*inputs)[0] == \
+            pure.search_points(*inputs)[0] == _kernel.STATUS_NON_GENERAL
+        prob = octahedron_problem(2, LINE_DISTRIBUTIONS[1],
+                                  offsets=[c.offset for c in cons])
+        with pytest.raises(RuntimeError, match="general position"):
+            engine.count_invariant(prob)
+    assert seen == {"parallel end", "point at a vertex"}
 
 
 def test_report_json_and_dump():

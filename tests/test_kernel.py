@@ -65,21 +65,44 @@ def test_lanes_agree_on_real_types(data, bound):
         assert compiled == reference
 
 
-def synthetic_inputs(shape, draw_int):
-    """Search inputs of a given shape with entries from draw_int()."""
+def synthetic_inputs(shape, draw_int, groups=None, parallel=None,
+                     members=None):
+    """Search inputs of a given shape with entries from draw_int().
+
+    shape is (n, nb, edges, r) for point conditions alone.  Grouped
+    inputs pass groups, a list of (r_g, l_g), instead of using r;
+    parallel(e) says whether edge e of a group gets an extra row, and
+    members is the order of the constraints' indices."""
     n, nb, ne, r = shape
     u_n = n + nb
-    l = u_n // r
+    if groups is None:
+        groups = [(r, u_n // r)]
+    if members is None:
+        members = range(sum(lg for _, lg in groups))
+    members = iter(members)
 
     def draw(*dims):
         if not dims:
             return draw_int()
         return tuple(draw(*dims[1:]) for _ in range(dims[0]))
 
-    tdata = tuple((0, draw(), draw(u_n)) for _ in range(ne))
+    out = []
+    for r, lg in groups:
+        tdata, pj, extra = [], [], []
+        for e in range(ne):
+            if parallel is not None and parallel(e):
+                tdata.append(None)
+                pj.append(None)
+                extra.append((draw(u_n), draw(lg)))
+            else:
+                tdata.append((draw(), draw(u_n)))
+                pj.append(draw(lg))
+                extra.append(None)
+        out.append((tuple(next(members) for _ in range(lg)),
+                    draw(ne, r, u_n), draw(ne, lg, r), tuple(tdata),
+                    tuple(pj), tuple(extra)))
     lbounded = tuple(e if e < nb else -1 for e in range(ne))
-    return (n, nb, draw(ne, r, u_n), draw(ne, l, r), lbounded, tdata,
-            draw(ne, l))
+    return n, nb, lbounded, tuple(out)
 
 
 # (n, nb, edges, r): past the fixed limits of the old compiled kernel,
@@ -127,6 +150,169 @@ def test_overflow_falls_back_and_is_logged(caplog):
         compiled, reference = lanes(inputs)
     assert compiled == reference
     assert compiled[1], "the near-limit case should have a candidate"
+    assert "overflowed 2^62" in caplog.text
+
+
+LINES = degrees.OCTAHEDRON_PAIRS
+
+
+@functools.cache
+def mixed_types():
+    """Types of octahedron class 2 whose system against one point and
+    two lines is square."""
+    degs = degrees.degree_set_degrees(degrees.octahedron_class_set(2))
+    return [comb for deg in degs if deg.e == 4
+            for comb, _ in curves.unmarked_types(deg)]
+
+
+def mixed_constraints(offsets, bases):
+    return [AffineConstraint(off, basis) for off, basis in zip(offsets, bases)]
+
+
+@needs_compiled
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), bound=BOUNDS,
+       lines=st.tuples(st.sampled_from(LINES), st.sampled_from(LINES)),
+       order=st.permutations(range(3)))
+def test_lanes_agree_on_mixed_types(data, bound, lines, order):
+    """Every mixed type against one point and two lines, in any order
+    and with both lines possibly sharing a direction (one group of
+    two)."""
+    bases = [(), (lines[0],), (lines[1],)]
+    bases = [bases[i] for i in order]
+    coord = st.integers(-bound, bound)
+    offsets = [tuple(data.draw(coord) for _ in range(3)) for _ in range(3)]
+    cons = mixed_constraints(offsets, bases)
+    for comb in mixed_types():
+        compiled, reference = lanes(engine._kernel_inputs(comb, cons))
+        assert compiled == reference
+
+
+def test_mixed_inputs_group_by_basis():
+    """Two lines of one direction share a group; ends parallel to a
+    line get an extra row and no parameter."""
+    line = LINES[0]
+    cons = mixed_constraints([(1, 2, 3), (4, 5, 6), (7, 8, 9)],
+                             [(line,), (), (line,)])
+    parallel = 0
+    for comb in mixed_types():
+        n, nb, lbounded, groups = engine._kernel_inputs(comb, cons)
+        assert [g[0] for g in groups] == [(0, 2), (1,)]
+        lines_group, points_group = groups
+        assert [len(b) for b in lines_group[1]] == [1] * len(lbounded)
+        assert [len(b) for b in points_group[1]] == [2] * len(lbounded)
+        assert all(x is None for x in points_group[5])
+        for e, extra in enumerate(lines_group[5]):
+            u = curves.edge_dir(comb, e)
+            parallel_to_line = u in (line, tuple(-x for x in line))
+            assert (extra is not None) == parallel_to_line
+            assert (lines_group[3][e] is None) == (extra is not None)
+            parallel += extra is not None
+    assert parallel > 0
+
+
+# (n, nb, edges, groups as (r_g, l_g)); each sums l_g * r_g to n + nb
+GROUPED = [(3, 1, 6, [(2, 1), (1, 2)]), (3, 2, 7, [(2, 1), (1, 1), (1, 2)]),
+           (2, 4, 5, [(1, 2), (2, 2)]), (4, 2, 5, [(3, 1), (1, 1), (2, 1)])]
+
+
+@needs_compiled
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), shape=st.sampled_from(GROUPED),
+       size=st.sampled_from([2, 10, 1000]), seed=st.integers(0, 2 ** 32))
+def test_lanes_agree_on_grouped_shapes(data, shape, size, seed):
+    """Entries come from a seeded generator: drawing each one through
+    hypothesis would cost more than both searches."""
+    n, nb, ne, groups = shape
+    l = sum(lg for _, lg in groups)
+    parallel = data.draw(st.sets(st.integers(0, ne - 1), max_size=2))
+    rng = random.Random(seed)
+    inputs = synthetic_inputs(
+        (n, nb, ne, None), lambda: rng.randint(-size, size),
+        groups=groups, parallel=parallel.__contains__,
+        members=data.draw(st.permutations(range(l))))
+    compiled, reference = lanes(inputs)
+    assert compiled == reference
+
+
+def shifted_mixed_inputs(shift):
+    """A mixed type that has a curve, with every offset moved by shift
+    along the first axis: the curve moves along, so the candidates do
+    not change."""
+    bases = [(), (LINES[0],), (LINES[1],)]
+    rng = random.Random(5)
+    offsets = [tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(3))
+               for _ in bases]
+    for comb in mixed_types():
+        inputs = engine._kernel_inputs(comb,
+                                       mixed_constraints(offsets, bases))
+        if pure.search_points(*inputs)[1]:
+            moved = [(x + shift, y, z) for x, y, z in offsets]
+            return inputs, engine._kernel_inputs(
+                comb, mixed_constraints(moved, bases))
+    raise AssertionError("no mixed type has a curve")
+
+
+def with_parallel_edge(inputs, g, edge, residual):
+    """inputs with one edge made parallel to the span of group g: its
+    extra row is zero, its right-hand sides all equal residual."""
+    n, nb, lbounded, groups = inputs
+    members, blocks, rhs, tdata, pj, extra = groups[g]
+
+    def put(seq, i, value):
+        return seq[:i] + (value,) + seq[i + 1:]
+
+    group = (members, blocks, rhs, put(tdata, edge, None),
+             put(pj, edge, None),
+             put(extra, edge, ((0,) * (n + nb), (residual,) * len(members))))
+    return n, nb, lbounded, put(groups, g, group)
+
+
+@pytest.mark.parametrize("lane", ["compiled", "pure"])
+def test_parallel_edge_leaf(lane):
+    """A leaf through an edge parallel to its span is rejected when the
+    extra row has a nonzero residual, and flags the run non-general
+    when the residual is exactly zero."""
+    if lane == "compiled" and _kernel.implementation() != "compiled":
+        pytest.skip("compiled lane unavailable")
+    search = _kernel.search_points if lane == "compiled" else \
+        pure.search_points
+    inputs, _ = shifted_mixed_inputs(0)
+    status, cands = search(*inputs)
+    assert status == _kernel.STATUS_OK and cands
+    # slot 0 belongs to group 0
+    edge = cands[0][0][0]
+    status, rest = search(*with_parallel_edge(inputs, 0, edge, 1))
+    assert status == _kernel.STATUS_OK and cands[0] not in rest
+    assert search(*with_parallel_edge(inputs, 0, edge, 0)) == \
+        (_kernel.STATUS_NON_GENERAL, [])
+
+
+def test_dependence_across_groups_takes_one_constraint_from_each():
+    """Two groups of one constraint each: edge 0 meets them where x is
+    their first value, edge 1 where y is their second.  Equal x values
+    are a consistent dependence, so the run is non-general; distinct
+    ones leave candidates, whose parameters all pass."""
+    def group(member, x, y):
+        return ((member,), (((1, 0),), ((0, 1),)), (((x,),), ((y,),)),
+                ((1, (0, 0)), (1, (0, 0))), ((1,), (1,)), (None, None))
+
+    for search in (pure.search_points, _kernel.search_points):
+        status, cands = search(2, 0, (-1, -1),
+                               (group(0, 5, 3), group(1, 6, 4)))
+        assert status == _kernel.STATUS_OK and cands
+        assert search(2, 0, (-1, -1), (group(0, 5, 3), group(1, 5, 4))) \
+            == (_kernel.STATUS_NON_GENERAL, [])
+
+
+@needs_compiled
+def test_overflow_falls_back_on_a_mixed_input(caplog):
+    small, inputs = shifted_mixed_inputs(2 ** 62)
+    assert _kernel._search_compiled(_kernel._library(), *inputs) is None
+    with caplog.at_level(logging.INFO, logger="tropcount"):
+        compiled, reference = lanes(inputs)
+    assert compiled == reference == lanes(small)[0]
+    assert compiled[1], "the shifted case should keep its candidate"
     assert "overflowed 2^62" in caplog.text
 
 
