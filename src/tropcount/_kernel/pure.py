@@ -14,50 +14,17 @@ degenerate system consistent; if one does, the whole run is flagged
 non-general and the caller re-samples offsets.  Point conditions alone
 are the one-group case.
 
-All arithmetic is exact (Python integers).  The compiled twin mirrors
-this module with machine integers plus overflow detection.
+All arithmetic is exact (Python integers); the adjugate solve is the
+fraction-free elimination of lattice.  The compiled twin mirrors this
+module with machine integers plus overflow detection.
 """
 
 from operator import mul
 
+from ..lattice import adjugate
+
 OK = 0
 NON_GENERAL = 1
-
-
-def adjugate_det(m):
-    """(det, adjugate) of a square integer matrix by fraction-free
-    Gauss-Jordan elimination."""
-    u = len(m)
-    a = [list(row) + [1 if i == j else 0 for j in range(u)]
-         for i, row in enumerate(m)]
-    sign = 1
-    prev = 1
-    for t in range(u):
-        if a[t][t] == 0:
-            for i in range(t + 1, u):
-                if a[i][t] != 0:
-                    a[t], a[i] = a[i], a[t]
-                    sign = -sign
-                    break
-            else:
-                return 0, None
-        piv = a[t][t]
-        for i in range(u):
-            if i != t:
-                f = a[i][t]
-                row = a[i]
-                prow = a[t]
-                for j in range(2 * u):
-                    num = piv * row[j] - f * prow[j]
-                    assert num % prev == 0
-                    row[j] = num // prev
-        prev = piv
-    # row swaps hit the augmented identity too, so the right half ends
-    # as det(PM) * inverse(M) for the original M; only the sign of the
-    # permutation needs undoing
-    det = sign * a[u - 1][u - 1]
-    adj = [[sign * a[i][u + j] for j in range(u)] for i in range(u)]
-    return det, adj
 
 
 def _exists_zero_assignment(slot_values, nconstr):
@@ -201,7 +168,7 @@ def search_points(n, nb, lbounded, groups):
         mat = []
         for k, e in enumerate(edges):
             mat.extend(groups[slot_group[k]][1][e])
-        det, adj = adjugate_det(mat)
+        det, adj = adjugate(mat)
         if det == 0:
             return
         # v[k][c] = contribution of slot k under its group's c-th

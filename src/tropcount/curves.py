@@ -63,14 +63,6 @@ def make_degree(entries):
 
 
 @dataclass(frozen=True)
-class Flag:
-    """A vertex together with an incident edge."""
-
-    vertex: int
-    edge: int
-
-
-@dataclass(frozen=True)
 class CombType:
     """Canonical combinatorial type.
 
@@ -125,13 +117,6 @@ def edge_base_vertex(t, eid):
     return t.ends[eid - len(t.bounded)][0]
 
 
-def expected_dimension(deg, g=0, n=None):
-    """Dimension e + (n-3)(1-g) of the moduli of parameterized curves."""
-    if n is None:
-        n = deg.n
-    return deg.e + (n - 3) * (1 - g)
-
-
 def weight(t):
     """Product of bounded edge weights and marked edge weights."""
     w = 1
@@ -140,17 +125,6 @@ def weight(t):
     for m in t.markings:
         w *= edge_weight(t, m)
     return w
-
-
-def flags(t):
-    out = []
-    for i, (tail, head, _, _) in enumerate(t.bounded):
-        out.append(Flag(tail, i))
-        out.append(Flag(head, i))
-    nb = len(t.bounded)
-    for i, (v, _, _) in enumerate(t.ends):
-        out.append(Flag(v, nb + i))
-    return out
 
 
 def check_balanced(t):

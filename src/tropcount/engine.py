@@ -358,10 +358,6 @@ def _frac_str(q):
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-def parse_frac(s):
-    return Fraction(s)
-
-
 def degree_to_json(deg):
     return {"entries": [[list(u), w] for u, w in deg.entries]}
 
@@ -522,11 +518,3 @@ def report_to_json(report):
         "workers": report.workers,
         "note": report.note,
     }
-
-
-def dump_report(report, fp=None):
-    data = report_to_json(report)
-    text = json.dumps(data, sort_keys=True, indent=2)
-    if fp is not None:
-        fp.write(text + "\n")
-    return text

@@ -1,35 +1,25 @@
 """Exact integer and rational linear algebra.
 
-Everything here works over arbitrary-precision integers and fractions.
-No floating point is used anywhere; equality decisions (membership,
-genericity, indices) must be exact.
+One routine, eliminate, does every exact elimination here: a
+fraction-free Gauss-Jordan (Bareiss) reduction over Python integers,
+after each rational row is scaled to integers by the lcm of its
+denominators.  Rank, determinant, adjugate, inverse and linear solve
+all read its result, and Fraction appears only in the values that
+solve_rational returns.  Smith normal form gives quotient maps and
+saturation indices.  No floating point is used anywhere; equality
+decisions (membership, genericity, indices) must be exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-
-
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, a):
-    return tuple(c * x for x in a)
+from math import gcd, lcm, prod
+from operator import index
 
 
 def vec_neg(a):
     return tuple(-x for x in a)
-
-
-def vec_dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def is_zero(a):
@@ -53,64 +43,91 @@ def identity_matrix(k):
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
-def mat_mul(a, b):
-    rb = len(b)
-    cb = len(b[0]) if rb else 0
-    return [
-        [sum(row[t] * b[t][j] for t in range(rb)) for j in range(cb)]
-        for row in a
-    ]
+def eliminate(rows, width=None):
+    """Fraction-free Gauss-Jordan elimination of rational rows.
+
+    Each row is first scaled by the lcm of its denominators, which keeps
+    its row space.  Pivots are sought left to right in the first width
+    columns (all of them by default).  Returns (pivots, d, sign, a): the
+    pivot columns, the common pivot value d (1 without pivots), the sign
+    of the row permutation and the reduced integer rows.  Row i of a,
+    for i < len(pivots), has d in column pivots[i] and 0 in every other
+    pivot column; the later rows are zero in the first width columns.
+    So a / d is the reduced row echelon form, and for a square integer
+    matrix of full rank, sign * d is its determinant.
+    """
+    a = []
+    for row in rows:
+        try:
+            a.append(list(map(index, row)))
+        except TypeError:
+            m = lcm(*[x.denominator for x in row])
+            a.append([x.numerator * (m // x.denominator) for x in row])
+    if width is None:
+        width = len(a[0]) if a else 0
+    pivots = []
+    sign = prev = 1
+    for c in range(width):
+        r = len(pivots)
+        if r == len(a):
+            break
+        for p in range(r, len(a)):
+            if a[p][c]:
+                break
+        else:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        prow = a[r]
+        piv = prow[c]
+        # every entry stays a minor of the scaled input, so each
+        # division by the previous pivot is exact
+        for i, row in enumerate(a):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(row, prow)]
+            elif piv != prev:
+                a[i] = [piv * x // prev for x in row]
+        pivots.append(c)
+        prev = piv
+    return pivots, prev, sign, a
 
 
-def mat_transpose(a):
-    return [list(col) for col in zip(*a)]
+def rank_int(vectors):
+    """Rank over Q of a list of integer (or Fraction) vectors."""
+    return len(eliminate(vectors)[0])
 
 
 def bareiss_det(m):
     """Determinant of a square integer matrix, fraction-free."""
-    a = [list(row) for row in m]
-    k = len(a)
-    if k == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for t in range(k - 1):
-        if a[t][t] == 0:
-            for i in range(t + 1, k):
-                if a[i][t] != 0:
-                    a[t], a[i] = a[i], a[t]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(t + 1, k):
-            for j in range(t + 1, k):
-                a[i][j] = (a[t][t] * a[i][j] - a[i][t] * a[t][j]) // prev
-            a[i][t] = 0
-        prev = a[t][t]
-    return sign * a[k - 1][k - 1]
+    pivots, d, sign, _ = eliminate(m)
+    return sign * d if len(pivots) == len(m) else 0
+
+
+def adjugate(m):
+    """(det, adjugate) of a square integer matrix; (0, None) if singular.
+
+    Eliminating [M | I] leaves d * inverse(M) on the right, with
+    d = sign * det(M), so the adjugate det(M) * inverse(M) is sign times
+    the right half.
+    """
+    k = len(m)
+    pivots, d, sign, a = eliminate(
+        [list(row) + e for row, e in zip(m, identity_matrix(k))], k)
+    if len(pivots) < k:
+        return 0, None
+    return sign * d, [[sign * x for x in row[k:]] for row in a]
 
 
 def int_matrix_inverse(m):
     """Inverse of a unimodular integer matrix, as an integer matrix."""
-    k = len(m)
-    d = bareiss_det(m)
-    if d not in (1, -1):
+    det, adj = adjugate(m)
+    if det not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    out = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            minor = [
-                [m[r][c] for c in range(k) if c != i]
-                for r in range(k) if r != j
-            ]
-            cof = bareiss_det(minor) if k > 1 else 1
-            if (i + j) % 2:
-                cof = -cof
-            row.append(cof * d)  # d = 1/d for d in {1,-1}
-        out.append(row)
-    return out
+    return [[det * x for x in row] for row in adj]
 
 
 def smith_normal_form(m):
@@ -203,44 +220,15 @@ def smith_normal_form(m):
     return diag, left, right
 
 
-def rank_int(vectors):
-    """Rank over Q of a list of integer (or Fraction) vectors."""
-    work = [[Fraction(x) for x in v] for v in vectors]
-    r = 0
-    n = len(work[0]) if work else 0
-    for c in range(n):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        for i in range(r + 1, len(work)):
-            if work[i][c] != 0:
-                f = work[i][c] / work[r][c]
-                for j in range(c, n):
-                    work[i][j] -= f * work[r][j]
-        r += 1
-    return r
-
-
-def saturate(basis):
-    """Basis of the saturation (Q-span intersected with Z^n) of a sublattice.
-
-    The input vectors must be linearly independent over Q.  The returned
-    list spans a saturated sublattice containing the input lattice.
-    """
-    basis = [tuple(v) for v in basis]
-    if not basis:
-        return []
-    k = len(basis)
-    if rank_int(basis) != k:
-        raise ValueError("saturate requires linearly independent vectors")
-    _, _, right = smith_normal_form(basis)
-    rinv = int_matrix_inverse(right)
-    return [tuple(rinv[i]) for i in range(k)]
+def saturation_index(basis):
+    """Index of the lattice spanned by independent integer vectors in its
+    saturation (its Q-span intersected with Z^n): the product of the
+    Smith invariant factors of the basis."""
+    diag, _, _ = smith_normal_form(basis)
+    if len(diag) < len(basis) or 0 in diag:
+        raise ValueError("saturation_index requires linearly independent "
+                         "vectors")
+    return prod(diag)
 
 
 def quotient_map(vectors, n):
@@ -284,99 +272,6 @@ def cached_quotient_map(vectors, n, compute):
     return w
 
 
-def apply_quotient(w, x):
-    """Apply a quotient presentation W to a row vector x."""
-    cols = len(w[0]) if w and len(w) else 0
-    return tuple(sum(x[i] * w[i][j] for i in range(len(x))) for j in range(cols))
-
-
-def hermite_normal_form(vectors):
-    """Row-style Hermite normal form of the lattice spanned by the rows.
-
-    Returns the nonzero rows, in echelon form with positive pivots.
-    """
-    work = [list(v) for v in vectors]
-    n = len(work[0]) if work else 0
-    out = []
-    c = 0
-    while work and c < n:
-        piv = None
-        for i, row in enumerate(work):
-            if row[c] != 0 and (piv is None or abs(row[c]) < abs(work[piv][c])):
-                piv = i
-        if piv is None:
-            c += 1
-            continue
-        stable = False
-        while not stable:
-            stable = True
-            for i, row in enumerate(work):
-                if i != piv and row[c] != 0:
-                    q = row[c] // work[piv][c]
-                    for j in range(n):
-                        row[j] -= q * work[piv][j]
-                    if row[c] != 0 and abs(row[c]) < abs(work[piv][c]):
-                        piv = i
-                        stable = False
-        prow = work.pop(piv)
-        if prow[c] < 0:
-            prow = [-x for x in prow]
-        out.append(prow)
-        work = [row for row in work if any(row)]
-        piv = None
-        c += 1
-    # reduce entries above pivots for a unique form
-    for i in reversed(range(len(out))):
-        lead = next(j for j in range(n) if out[i][j] != 0)
-        for k in range(i):
-            if out[k][lead] != 0:
-                q = out[k][lead] // out[i][lead]
-                for j in range(n):
-                    out[k][j] -= q * out[i][j]
-    return [tuple(r) for r in out]
-
-
-def lattice_member(v, basis):
-    """Exact membership of an integer vector in the lattice spanned by basis."""
-    h = hermite_normal_form(basis)
-    rem = list(v)
-    for row in h:
-        lead = next(j for j in range(len(row)) if row[j] != 0)
-        if rem[lead] % row[lead] == 0:
-            q = rem[lead] // row[lead]
-            for j in range(len(rem)):
-                rem[j] -= q * row[j]
-    return all(x == 0 for x in rem)
-
-
-def lattice_index(sub, sup):
-    """Group index [sup : sub] for two bases of the same Q-vector space."""
-    sub = [tuple(v) for v in sub]
-    sup = [tuple(v) for v in sup]
-    k = len(sup)
-    if len(sub) != k:
-        raise ValueError("lattice_index requires bases of equal length")
-    if rank_int(sup) != k or rank_int(sub) != k:
-        raise ValueError("lattice_index requires linearly independent bases")
-    # express each sub vector in the sup basis; entries must be integers
-    coeffs = []
-    for v in sub:
-        res = solve_rational([[Fraction(s[i]) for s in sup] for i in range(len(v))],
-                             [Fraction(x) for x in v])
-        if res.status != "unique":
-            raise ValueError("vectors do not span the same space")
-        row = []
-        for c in res.particular:
-            if c.denominator != 1:
-                raise ValueError("sub is not contained in sup")
-            row.append(int(c))
-        coeffs.append(row)
-    d = bareiss_det(coeffs)
-    if d == 0:
-        raise ValueError("sub basis is degenerate")
-    return abs(d)
-
-
 @dataclass(frozen=True)
 class LinearSolution:
     """Outcome of an exact linear solve: unique, family, or infeasible."""
@@ -391,71 +286,26 @@ def solve_rational(a, b):
 
     Returns a LinearSolution: status "unique" carries the solution,
     "family" a particular solution plus a kernel basis, "infeasible" neither.
+    The augmented rows are eliminated once; the reduced echelon form
+    a / d gives the particular solution and one kernel vector per free
+    column.
     """
-    rows = len(a)
-    n = len(a[0]) if rows else 0
-    work = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, rows):
-            if work[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        pv = work[r][c]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(rows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if work[i][n] != 0:
-            return LinearSolution("infeasible")
+    n = len(a[0]) if a else 0
+    pivots, d, _, work = eliminate(
+        [list(row) + [y] for row, y in zip(a, b)], n)
+    if any(row[n] for row in work[len(pivots):]):
+        return LinearSolution("infeasible")
     particular = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        particular[c] = work[i][n]
-    free = [c for c in range(n) if c not in pivots]
+    for row, c in zip(work, pivots):
+        particular[c] = Fraction(row[n], d)
+    free = sorted(set(range(n)) - set(pivots))
     if not free:
         return LinearSolution("unique", tuple(particular))
     kernel = []
     for f in free:
         vec = [Fraction(0)] * n
         vec[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -work[i][f]
+        for row, c in zip(work, pivots):
+            vec[c] = Fraction(-row[f], d)
         kernel.append(tuple(vec))
     return LinearSolution("family", tuple(particular), tuple(kernel))
-
-
-def fraction_det(m):
-    """Determinant of a square matrix of Fractions."""
-    a = [[Fraction(x) for x in row] for row in m]
-    k = len(a)
-    det = Fraction(1)
-    for t in range(k):
-        piv = None
-        for i in range(t, k):
-            if a[i][t] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != t:
-            a[t], a[piv] = a[piv], a[t]
-            det = -det
-        det *= a[t][t]
-        inv = 1 / a[t][t]
-        for i in range(t + 1, k):
-            if a[i][t] != 0:
-                f = a[i][t] * inv
-                for j in range(t, k):
-                    a[i][j] -= f * a[t][j]
-    return det

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import edge_base_vertex, edge_dir, is_bounded, path_signs
-from .lattice import (cached_quotient_map, lattice_index, quotient_map,
-                      rank_int, saturate, solve_rational)
+from .lattice import (cached_quotient_map, quotient_map, rank_int,
+                      saturation_index, solve_rational)
 
 NONE = "none"
 UNIQUE = "unique"
@@ -31,7 +31,7 @@ def check_basis(n, basis):
     if basis:
         if rank_int(basis) != len(basis):
             raise ValueError("constraint basis must be independent")
-        if lattice_index(basis, saturate(basis)) != 1:
+        if saturation_index(basis) != 1:
             raise ValueError("constraint basis must be saturated")
     if n - 1 - len(basis) < 1:
         raise ValueError("constraint imposes no condition on a curve")
@@ -115,8 +115,8 @@ def _recover_param(u, basis, rhs):
     """Write rhs as t*u + span(basis); unique t or None when ambiguous."""
     n = len(u)
     cols = [tuple(u)] + [tuple(b) for b in basis]
-    a = [[Fraction(c[j]) for c in cols] for j in range(n)]
-    res = solve_rational(a, [Fraction(x) for x in rhs])
+    a = [[c[j] for c in cols] for j in range(n)]
+    res = solve_rational(a, rhs)
     if res.status != "unique":
         return None
     return res.particular[0]
@@ -144,7 +144,6 @@ def match_constraints(t, constraints):
         return _match_degenerate(t, constraints)
 
     nb = len(t.bounded)
-    unknowns = n + nb
     sign = path_signs(t)
 
     rows = []
@@ -159,17 +158,14 @@ def match_constraints(t, constraints):
         ncols = len(w[0]) if w and len(w) else 0
         v = edge_base_vertex(t, eid)
         for col in range(ncols):
-            row = [Fraction(0)] * unknowns
-            for j in range(n):
-                row[j] = Fraction(w[j][col])
+            row = [w[j][col] for j in range(n)] + [0] * nb
             for b in range(nb):
                 if sign[v][b]:
                     ub = t.bounded[b][3]
-                    row[n + b] = Fraction(sign[v][b] * sum(
-                        ub[j] * w[j][col] for j in range(n)))
+                    row[n + b] = sign[v][b] * sum(
+                        ub[j] * w[j][col] for j in range(n))
             rows.append(row)
-            rhs.append(sum(Fraction(c.offset[j]) * w[j][col]
-                           for j in range(n)))
+            rhs.append(sum(c.offset[j] * w[j][col] for j in range(n)))
 
     res = solve_rational(rows, rhs)
     if res.status == "infeasible":
@@ -237,9 +233,8 @@ def _match_degenerate(t, constraints):
         w = cached_quotient_map([u, *c.basis], n, quotient_map)
         ncols = len(w[0]) if w and len(w) else 0
         for col in range(ncols):
-            rows.append([Fraction(w[j][col]) for j in range(n)])
-            rhs.append(sum(Fraction(c.offset[j]) * w[j][col]
-                           for j in range(n)))
+            rows.append([w[j][col] for j in range(n)])
+            rhs.append(sum(c.offset[j] * w[j][col] for j in range(n)))
     res = solve_rational(rows, rhs)
     if res.status == "infeasible":
         return MatchOutcome(NONE)
@@ -288,7 +283,7 @@ def verify_general(t, sol, constraints):
         pos = _point_on_edge(t, sol, i)
         diff = [pos[j] - Fraction(c.offset[j]) for j in range(len(pos))]
         if c.basis:
-            a = [[Fraction(b_[j]) for b_ in c.basis] for j in range(len(pos))]
+            a = [[b_[j] for b_ in c.basis] for j in range(len(pos))]
             res = solve_rational(a, diff)
             if res.status != "unique":
                 problems.append("marked point %d off its constraint" % i)

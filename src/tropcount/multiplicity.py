@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .curves import edge_base_vertex, edge_dir, edge_weight
 from .lattice import (bareiss_det, cached_quotient_map, int_matrix_inverse,
-                      lattice_index, quotient_map, rank_int, saturate,
+                      quotient_map, rank_int, saturation_index,
                       smith_normal_form)
 
 
@@ -37,7 +37,7 @@ def d_index(t, constraints):
 
     Domain: one copy of Z^n per vertex.  Rows: for each bounded edge the
     difference of its endpoints in Z^n / Z(dir); for each marking the
-    base vertex in Z^n / saturate(Z(dir) + span(basis)).  Zero
+    base vertex in Z^n / saturation(Z(dir) + span(basis)).  Zero
     dimensionality of the count makes the matrix square of size
     n * vertices.  Returns |det|; 0 marks a non-general configuration.
     """
@@ -101,7 +101,7 @@ def delta_index(t, i, constraint):
     basis = [tuple(u)] + [tuple(b) for b in constraint.basis]
     if rank_int(basis) != len(basis):
         raise ValueError("marked edge direction lies in the constraint span")
-    return w * lattice_index(basis, saturate(basis))
+    return w * saturation_index(basis)
 
 
 def total_multiplicity(t, constraints):

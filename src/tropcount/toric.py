@@ -3,8 +3,10 @@
 Polytopes are given by integer facet normals with rational constants,
 inequalities reading <normal, u> + constant >= 0, so normals point
 inward.  Vertices come from exhaustive facet-subset intersection, which
-is plenty for the handful of facets used here.  A tiny exact simplex
-method (Bland's rule, Fraction arithmetic) supplies the cone tests.
+is plenty for the handful of facets used here; the intersections, affine
+ranks and determinants come from the elimination core in lattice.  A
+tiny exact simplex method (Bland's rule, Fraction arithmetic) supplies
+the cone tests.
 """
 
 from dataclasses import dataclass
@@ -12,7 +14,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .lattice import bareiss_det, int_matrix_inverse, is_zero, primitive
+from .lattice import (bareiss_det, int_matrix_inverse, is_zero, primitive,
+                      rank_int, solve_rational)
 
 
 def _pivot(tab, basis, row, col):
@@ -138,44 +141,6 @@ def positive_functional(rays):
     return f if status == "optimal" else None
 
 
-def _frac_solve(a, b):
-    # square Gaussian elimination; None if singular
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(y)]
-         for row, y in zip(a, b)]
-    for c in range(n):
-        p = next((r for r in range(c, n) if m[r][c] != 0), -1)
-        if p < 0:
-            return None
-        m[c], m[p] = m[p], m[c]
-        for r in range(n):
-            if r != c and m[r][c]:
-                f = m[r][c] / m[c][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return [m[r][-1] / m[r][r] for r in range(n)]
-
-
-def _affine_rank(points):
-    if not points:
-        return -1
-    base = points[0]
-    rows = [[p[i] - base[i] for i in range(len(base))] for p in points[1:]]
-    rank = 0
-    ncols = len(base)
-    col = 0
-    for col in range(ncols):
-        p = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), -1)
-        if p < 0:
-            continue
-        rows[rank], rows[p] = rows[p], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col] / rows[rank][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 @dataclass(frozen=True)
 class Polytope:
     """Bounded full-dimensional rational polytope, inward facet normals."""
@@ -188,8 +153,8 @@ class Polytope:
                 raise ValueError("normals must be nonzero integer vectors")
         if len(set(len(a) for a, _ in self.inequalities)) != 1:
             raise ValueError("mixed ambient ranks in inequalities")
-        if len(self.vertices) < self.n + 1 or \
-                _affine_rank(self.vertices) != self.n:
+        # affine rank: the rank of the points lifted to (1, p), minus one
+        if rank_int([(1, *v) for v in self.vertices]) != self.n + 1:
             raise ValueError("polytope is not full-dimensional")
         rows = [[-x for x in a] for a, _ in self.inequalities]
         n = self.n
@@ -218,10 +183,10 @@ class Polytope:
         for subset in combinations(range(len(self.inequalities)), n):
             a = [self.inequalities[i][0] for i in subset]
             b = [-self.inequalities[i][1] for i in subset]
-            u = _frac_solve(a, b)
-            if u is None:
+            res = solve_rational(a, b)
+            if res.status != "unique":
                 continue
-            u = tuple(u)
+            u = res.particular
             if u not in seen and self.contains(u):
                 seen.add(u)
                 out.append(u)
@@ -234,7 +199,8 @@ class Polytope:
         for i, (a, c) in enumerate(self.inequalities):
             tight = [v for v in self.vertices
                      if sum(a[k] * v[k] for k in range(self.n)) + c == 0]
-            if _affine_rank(tight) == self.n - 1:
+            # a facet's tight vertices have affine rank n - 1
+            if rank_int([(1, *v) for v in tight]) == self.n:
                 out.append(i)
         return tuple(out)
 

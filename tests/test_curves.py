@@ -207,12 +207,6 @@ def test_validate_type_rejects_nontrivalent():
             ends=((0, 1, (1, 0)), (0, 1, (-1, 0)))))
 
 
-def test_expected_dimension():
-    deg = degrees.plane_degree(3)
-    assert curves.expected_dimension(deg) == 9 - 1
-    assert curves.expected_dimension(deg, n=3) == 9
-
-
 def test_orbit_min_is_canonical():
     gens = ((1, 0, 2, 3), (0, 1, 3, 2))
     for assign in itertools.product(range(4), repeat=2):
@@ -228,11 +222,3 @@ def test_automorphisms_match_enumeration():
                               ((0, -1), 1)])
     for t, gens in curves.unmarked_types(deg):
         assert curves.automorphisms(t) == tuple(gens)
-
-
-def test_flag_list():
-    deg = degrees.plane_degree(1)
-    ((t, _),) = curves.unmarked_types(deg)
-    fl = curves.flags(t)
-    assert len(fl) == 3
-    assert all(f.vertex == 0 for f in fl)

@@ -114,11 +114,13 @@ SHAPES = [(2, 2, 45, 2), (4, 6, 4, 5), (7, 14, 4, 7), (2, 1, 5, 1)]
 
 @needs_compiled
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), shape=st.sampled_from(SHAPES),
+@given(seed=st.integers(0, 2 ** 32), shape=st.sampled_from(SHAPES),
        size=st.sampled_from([3, 10, 1000]))
-def test_lanes_agree_beyond_old_limits(data, shape, size):
-    inputs = synthetic_inputs(
-        shape, lambda: data.draw(st.integers(-size, size)))
+def test_lanes_agree_beyond_old_limits(seed, shape, size):
+    """Entries come from a seeded generator, as in the grouped-shape
+    test below: drawing each one through hypothesis is slow."""
+    rng = random.Random(seed)
+    inputs = synthetic_inputs(shape, lambda: rng.randint(-size, size))
     compiled, reference = lanes(inputs)
     assert compiled == reference
 

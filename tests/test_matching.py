@@ -79,6 +79,18 @@ def test_affine_constraint_validation():
         matching.AffineConstraint((0, 0, 0), ((1, 0),))  # rank mismatch
 
 
+def test_check_basis_names_each_fault():
+    matching.check_basis(3, ((1, 0, 0),))
+    matching.check_basis(4, ((1, 1, 0, 0), (1, -1, 1, 0)))
+    for n, basis, fault in [(3, ((2, 0, 0),), "saturated"),
+                            (4, ((1, 1, 0, 0), (1, -1, 0, 0)), "saturated"),
+                            (3, ((1, 0, 0), (2, 0, 0)), "independent"),
+                            (3, ((1, 0),), "rank mismatch"),
+                            (3, ((1, 0, 0), (0, 1, 0)), "no condition")]:
+        with pytest.raises(ValueError, match=fault):
+            matching.check_basis(n, basis)
+
+
 def test_match_requires_one_constraint_per_marking():
     t = replace(line_type(), markings=(0,))
     with pytest.raises(ValueError):

@@ -6,7 +6,11 @@ from fractions import Fraction
 import pytest
 
 from tropcount import toric
-from tropcount.lattice import bareiss_det, vec_add
+from tropcount.lattice import bareiss_det
+
+
+def vec_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def square():
