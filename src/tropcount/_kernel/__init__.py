@@ -43,8 +43,9 @@ def _library():
     except (build.BuildError, OSError) as exc:
         log.warning("compiled kernel not built, using the pure lane: %s", exc)
         return None
-    # imported here, so that processes which never select a lane (counts
-    # with line or plane conditions, and their pool workers) stay smaller
+    # imported here, so that processes which never select a lane (every
+    # count does, whatever its conditions; listing types or checking a
+    # certificate does not) stay smaller
     import ctypes
 
     try:

@@ -28,14 +28,14 @@ def _emit(data, out=None):
 
 def _cmd_count(args):
     data = _load(args.problem)
-    if data.get("options", {}).get("long") and not args.long:
-        print("problem is marked long; pass --long to run it",
-              file=sys.stderr)
-        return 2
     try:
         problem = engine.problem_from_json(data)
     except ValueError as exc:
         print("tropcount count: bad problem file: %s" % exc, file=sys.stderr)
+        return 2
+    if data.get("options", {}).get("long") and not args.long:
+        print("problem is marked long; pass --long to run it",
+              file=sys.stderr)
         return 2
     report = engine.count_invariant(problem, seed=args.seed,
                                     workers=args.workers)
@@ -78,30 +78,29 @@ def _cmd_toric_verify(args):
 
 
 def _preset_problem(kind, cls):
-    if kind == "flag3":
-        s, t = cls
-        npts = s + t
-        source = {"kind": "flag3", "class": [s, t]}
-    else:
-        npts = cls
-        source = {"kind": "octahedron", "class": cls}
+    from . import degrees  # not needed to start the command line
+
+    # in rank 3 a class with e ends meets e + n - 3 = e codimensions of
+    # conditions, and each point has codimension 2
+    npts = degrees.end_count(engine.PRESET_FACETS[kind], cls) // 2
     return {
         "rank": 3,
-        "degree_source": source,
+        "degree_source": {"kind": kind,
+                          "class": cls if len(cls) > 1 else cls[0]},
         "constraints": {"kind": "generate", "bases": [[] for _ in range(npts)]},
         "options": {},
     }
 
 
 def _cmd_preset(args):
-    if args.preset == "flag3":
-        parts = [int(x) for x in args.cls.split(",")]
-        if len(parts) != 2:
-            print("flag3 wants --class S,T", file=sys.stderr)
-            return 2
-        data = _preset_problem("flag3", tuple(parts))
-    else:
-        data = _preset_problem("octahedron", int(args.cls))
+    try:
+        cls = [int(x) for x in args.cls.split(",")]
+        if args.preset == "flag3" and len(cls) != 2:
+            raise ValueError("flag3 wants --class S,T")
+        data = _preset_problem(args.preset, cls)
+    except ValueError as exc:
+        print("tropcount preset: bad class: %s" % exc, file=sys.stderr)
+        return 2
     _emit(data, args.out)
     return 0
 

@@ -2,14 +2,17 @@
 
 A coarse degree records, per primitive direction, the total weight of all
 ends pointing that way.  Curve classes enter as integer linear constraints
-on these ray totals; two ready-made families cover the flag threefold and
-the octahedron quadric.
+on these ray totals.  For a toric degeneration given by a facet table of
+its moment polytope (toric.GC3_FACETS for the flag threefold,
+toric.OCTAHEDRON_FACETS for the quadric), class_degree_set reads the
+rays, the class functionals and the number of ends off the table.
 """
 
 from dataclasses import dataclass
+from operator import mul
 
-from .curves import Degree, make_degree
-from .lattice import is_zero, primitive
+from .curves import make_degree
+from .lattice import is_zero, primitive, solve_rational
 
 
 @dataclass(frozen=True)
@@ -128,106 +131,76 @@ def refine_coarse(coarse, max_weight=None):
     return tuple(sorted(out, key=lambda d: d.entries))
 
 
-def enumerate_coarse_degrees(rays, linear_constraints, cap):
-    """Balanced nonneg ray multiplicities meeting every linear constraint.
+def enumerate_coarse_degrees(rays, linear_constraints, total):
+    """Balanced nonneg ray totals of the given mass meeting every linear
+    constraint, a list of (coefficients per ray, target).
 
-    linear_constraints is a list of (coefficients per ray, target); the
-    search is exhaustive over total mass <= cap.
+    The search is exhaustive: every split of the mass among the rays,
+    the last ray taking the remainder.
     """
     rays = [tuple(r) for r in rays]
     if len(set(rays)) != len(rays):
         raise ValueError("rays must be pairwise distinct")
-    n = len(rays[0]) if rays else 0
     for r in rays:
         if is_zero(r) or primitive(r)[0] != r:
             raise ValueError("rays must be primitive")
+    n = len(rays[0])
+    # balancing: one constraint per coordinate, with target zero
+    checks = [(col, 0) for col in zip(*rays)] + list(linear_constraints)
     found = []
     counts = [0] * len(rays)
+    last = len(rays) - 1
 
-    def walk(i, used):
-        if i == len(rays):
-            acc = [0] * n
-            for c, r in zip(counts, rays):
-                for j in range(n):
-                    acc[j] += c * r[j]
-            if any(acc):
-                return
-            for coeffs, target in linear_constraints:
-                if sum(c * a for c, a in zip(counts, coeffs)) != target:
-                    return
-            found.append(make_coarse(n, zip(rays, counts)))
+    def walk(i, left):
+        if i == last:
+            counts[i] = left
+            if all(sum(map(mul, counts, coeffs)) == target
+                   for coeffs, target in checks):
+                found.append(make_coarse(n, zip(rays, counts)))
             return
-        for c in range(cap - used + 1):
+        for c in range(left + 1):
             counts[i] = c
-            walk(i + 1, used + c)
-        counts[i] = 0
+            walk(i + 1, left - c)
 
-    walk(0, 0)
+    walk(0, total)
     return make_degree_set(found)
 
 
-FLAG3_RAYS = ((-1, 0, 0), (0, 1, 0), (1, 0, 0), (1, 0, -1), (0, -1, 0),
-              (0, -1, 1))
+def end_count(facets, cls):
+    """The number of ends -K.beta of class cls (one nonnegative integer
+    per class parameter, not all zero) for a facet table.
 
-OCTAHEDRON_PAIRS = ((0, 1, 1), (1, 0, 0), (0, 1, 0), (1, 0, 1))
-
-
-def preset_flag3(s, t):
-    """Degree set for the class (s, t) on the flag threefold.
-
-    Rays carry totals s, t, s - k, k, t - k, k for k = 0..min(s, t).
+    -K, the sum of the toric divisors, is alpha . (class divisors) plus
+    the principal divisor of m: solve alpha . coef_rho + <a_rho, m> = 1
+    over the facets rho; then -K.beta is alpha . cls.
     """
-    if s < 0 or t < 0 or (s, t) == (0, 0):
-        raise ValueError("need s, t >= 0 and not both zero")
-    members = []
-    r = FLAG3_RAYS
-    for k in range(min(s, t) + 1):
-        members.append(make_coarse(3, [
-            (r[0], s), (r[1], t), (r[2], s - k), (r[3], k), (r[4], t - k),
-            (r[5], k)]))
-    return make_degree_set(members)
+    k = len(facets[0][1])
+    if (len(cls) != k or any(type(c) is not int for c in cls)
+            or min(cls) < 0 or not any(cls)):
+        raise ValueError("class must be %d nonnegative integer%s, not all "
+                         "zero, not %r" % (k, "s" * (k > 1), cls))
+    res = solve_rational([coef + a for a, coef in facets], [1] * len(facets))
+    if res.status != "unique":
+        raise ValueError("facet table %r has no unique anticanonical "
+                         "solution" % (facets,))
+    return int(sum(map(mul, res.particular, cls)))
 
 
-def preset_octahedron(a):
-    """Degree set for class a on the quadric with octahedral polytope.
+def class_degree_set(facets, cls):
+    """Every coarse degree of class cls for a facet table, which lists
+    (inward normal, coefficients of its constant in the class
+    parameters) per facet (see toric.GC3_FACETS).
 
-    Each member assigns a composition a1 + a2 + a3 + a4 = a to the four
-    opposite-direction ray pairs.
+    The rays are the outward normals.  Functional i takes a ray to
+    coefficient i of its facet's constant; a member meets it at cls[i]
+    and has end_count(facets, cls) ends.  The octahedron's sets hold,
+    from class 2 on, members mixing rays of different opposite pairs;
+    mixed point and line counts need them to be invariant.
     """
-    if a < 1:
-        raise ValueError("need a >= 1")
-    members = []
-    for a1 in range(a + 1):
-        for a2 in range(a - a1 + 1):
-            for a3 in range(a - a1 - a2 + 1):
-                a4 = a - a1 - a2 - a3
-                entries = []
-                for ai, u in zip((a1, a2, a3, a4), OCTAHEDRON_PAIRS):
-                    entries.append((u, ai))
-                    entries.append((tuple(-c for c in u), ai))
-                members.append(make_coarse(3, entries))
-    return make_degree_set(members)
-
-
-def octahedron_class_set(a):
-    """Every coarse degree of ruling class a on the octahedron rays.
-
-    The class of a curve is its total end multiplicity on the four rays
-    carrying the nonzero facet offsets of the degree-one moment
-    polytope, and the end count 2a follows from balancing.  The set
-    contains preset_octahedron(a); from a = 2 on it also has balanced
-    members mixing rays from different opposite pairs, and dropping
-    those breaks the invariance of mixed point and line counts under
-    redistributing line directions.
-    """
-    if a < 1:
-        raise ValueError("need a >= 1")
-    rays = []
-    for u in OCTAHEDRON_PAIRS:
-        rays.append(u)
-        rays.append(tuple(-c for c in u))
-    offset = tuple(1 if any(c < 0 for c in r) else 0 for r in rays)
-    return enumerate_coarse_degrees(tuple(rays), [(offset, a)], cap=2 * a)
+    ends = end_count(facets, cls)
+    rays = [tuple(-x for x in a) for a, _ in facets]
+    functionals = zip(zip(*(coef for _, coef in facets)), cls)
+    return enumerate_coarse_degrees(rays, functionals, ends)
 
 
 def plane_degree(d):

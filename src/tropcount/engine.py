@@ -28,6 +28,7 @@ from .matching import (NON_GENERAL, UNIQUE, AffineConstraint, check_basis,
                        generate_constraints, match_constraints,
                        verify_general)
 from .multiplicity import total_multiplicity
+from .toric import GC3_FACETS, OCTAHEDRON_FACETS
 
 MAX_RETRIES = 32
 
@@ -375,6 +376,10 @@ def _field(obj, key, where):
     return obj[key]
 
 
+# preset degree_source kinds, by the facet table whose classes they name
+PRESET_FACETS = {"flag3": GC3_FACETS, "octahedron": OCTAHEDRON_FACETS}
+
+
 def _degrees_from_source(src):
     from . import degrees as degmod
 
@@ -383,11 +388,13 @@ def _degrees_from_source(src):
         return tuple(degree_from_json(d)
                      for d in _field(src, "degrees", "degree_source"))
     max_weight = src.get("max_weight")
-    if kind == "flag3":
-        s, t = _field(src, "class", "degree_source")
-        ds = degmod.preset_flag3(s, t)
-    elif kind == "octahedron":
-        ds = degmod.octahedron_class_set(_field(src, "class", "degree_source"))
+    if kind in PRESET_FACETS:
+        cls = _field(src, "class", "degree_source")
+        try:
+            ds = degmod.class_degree_set(
+                PRESET_FACETS[kind], cls if isinstance(cls, list) else [cls])
+        except ValueError as exc:
+            raise ValueError("degree_source.%s" % exc) from None
     elif kind == "coarse":
         ds = degmod.degree_set_from_json(
             _field(src, "coarse_degrees", "degree_source"))
@@ -399,13 +406,15 @@ def _degrees_from_source(src):
 def problem_from_json(data):
     """Build a Problem from the schema {rank, degree_source, constraints}.
 
-    degree_source kinds: explicit degree list, flag3 or octahedron
-    preset classes, or a coarse degree set; preset and coarse sources
-    expand through refinement.  constraints kinds: generate (offsets
-    drawn from the seed) or explicit (fixed offsets, one per basis, each
-    of length rank).  A missing field, explicit offsets of the wrong
-    length, a constraint basis that is not a saturated independent set
-    of rank-length vectors, or a degree of another rank raise ValueError
+    degree_source kinds: explicit degree list, flag3 ([s, t]) or
+    octahedron (a) preset classes, or a coarse degree set; preset and
+    coarse sources expand through refinement.  constraints kinds:
+    generate (offsets drawn from the seed) or explicit (fixed offsets,
+    one per basis, each of length rank).  options odd_insertions and
+    long (read by the command line) are JSON booleans.  A missing field,
+    a malformed class or option, explicit offsets of the wrong length, a
+    constraint basis that is not a saturated independent set of
+    rank-length vectors, or a degree of another rank raise ValueError
     naming the field.
     """
     rank = _field(data, "rank", "problem")
@@ -440,6 +449,12 @@ def problem_from_json(data):
             raise ValueError("degree_source gives a degree of rank %d, not"
                              " rank %d" % (deg.n, rank))
     options = data.get("options", {})
+    if not isinstance(options, dict):
+        raise ValueError("options must be a JSON object")
+    for key in ("long", "odd_insertions"):
+        if not isinstance(options.get(key, False), bool):
+            raise ValueError("options.%s must be true or false, not %r"
+                             % (key, options[key]))
     kwargs = {}
     if cons.get("bound") is not None:
         kwargs["bound"] = cons["bound"]

@@ -451,36 +451,47 @@ def verify_small_resolution(fan, cert):
     return ok, report
 
 
-def builtin_gc3(lam):
-    """Degree-three Gelfand-Cetlin polytope, spacing parameter lam."""
+# Facet tables of the built-in families: per facet, its inward normal
+# and the coefficients of its constant in the class parameters.  The
+# rays and classes of curves are read off the same tables
+# (degrees.class_degree_set).
+GC3_FACETS = (
+    ((0, -1, 0), (1, 1)),
+    ((0, 1, 0), (-1, 0)),
+    ((-1, 0, 0), (1, 0)),
+    ((1, 0, 0), (0, 0)),
+    ((0, 1, -1), (0, 0)),
+    ((-1, 0, 1), (0, 0)),
+)
+
+OCTAHEDRON_FACETS = (
+    ((0, 1, 1), (0,)),
+    ((-1, 0, 0), (1,)),
+    ((0, -1, 0), (1,)),
+    ((1, 0, 1), (0,)),
+    ((0, 1, 0), (0,)),
+    ((-1, 0, -1), (1,)),
+    ((0, -1, -1), (1,)),
+    ((1, 0, 0), (0,)),
+)
+
+
+def _table_polytope(facets, lam):
+    """The polytope of a facet table with every parameter equal to lam."""
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError("need lam > 0")
-    return make_polytope([
-        ((0, -1, 0), 2 * lam),
-        ((0, 1, 0), -lam),
-        ((-1, 0, 0), lam),
-        ((1, 0, 0), 0),
-        ((0, 1, -1), 0),
-        ((-1, 0, 1), 0),
-    ])
+    return make_polytope([(a, lam * sum(coef)) for a, coef in facets])
+
+
+def builtin_gc3(lam):
+    """Degree-three Gelfand-Cetlin polytope, spacing parameter lam."""
+    return _table_polytope(GC3_FACETS, lam)
 
 
 def builtin_octahedron(lam):
     """Octahedral moment polytope of the quadric threefold degeneration."""
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise ValueError("need lam > 0")
-    return make_polytope([
-        ((0, 1, 1), 0),
-        ((-1, 0, 0), lam),
-        ((0, -1, 0), lam),
-        ((1, 0, 1), 0),
-        ((0, 1, 0), 0),
-        ((-1, 0, -1), lam),
-        ((0, -1, -1), lam),
-        ((1, 0, 0), 0),
-    ])
+    return _table_polytope(OCTAHEDRON_FACETS, lam)
 
 
 def polytope_to_json(p):

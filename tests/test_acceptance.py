@@ -19,7 +19,7 @@ WORKERS = 8
 # after the first computation as the regression anchor
 OCTA_MIXED_CONSTANT = 3
 
-LINE_DIRECTIONS = degrees.OCTAHEDRON_PAIRS
+LINE_DIRECTIONS = ((0, 1, 1), (1, 0, 0), (0, 1, 0), (1, 0, 1))
 
 
 @lru_cache(maxsize=None)

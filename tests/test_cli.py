@@ -47,6 +47,15 @@ def test_preset_flag3_wants_two_numbers(capsys):
     assert "flag3 wants" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("preset, cls", [("flag3", "0,0"), ("flag3", "2,-1"),
+                                         ("flag3", "1,x"), ("octahedron", "0"),
+                                         ("octahedron", "1,1")])
+def test_preset_bad_class_exits_2(capsys, preset, cls):
+    assert cli.main(["preset", preset, "--class", cls]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "bad class" in err
+
+
 def test_count_long_gate(tmp_path):
     prob = engine.Problem(n=2, degrees=(degrees.plane_degree(1),),
                           constraint_bases=((), ()),
@@ -62,15 +71,44 @@ def test_count_long_gate(tmp_path):
     assert read(out)["total"] == 1
 
 
-@pytest.mark.parametrize("drop, named", [
+@pytest.mark.parametrize("edit, named", [
     ("degree_source", "'degree_source'"),
     ("rank", "'rank'"),
+    ('options.odd_insertions="no"', "options.odd_insertions"),
+    ("options.long=1", "options.long"),
+    ("options=[]", "options"),
+    ('degree_source={"kind": "flag3", "class": [1]}', "degree_source.class"),
+    ('degree_source={"kind": "flag3", "class": [1, 1, 0]}',
+     "degree_source.class"),
+    ('degree_source={"kind": "flag3", "class": [1.0, 1]}',
+     "degree_source.class"),
+    ('degree_source={"kind": "flag3", "class": [true, 0]}',
+     "degree_source.class"),
+    ('degree_source={"kind": "flag3", "class": [0, 0]}',
+     "degree_source.class"),
+    ('degree_source={"kind": "flag3", "class": [-1, 2]}',
+     "degree_source.class"),
+    ('degree_source={"kind": "octahedron", "class": 0}',
+     "degree_source.class"),
+    ('degree_source={"kind": "octahedron", "class": 2.0}',
+     "degree_source.class"),
+    ('degree_source={"kind": "octahedron", "class": "2"}',
+     "degree_source.class"),
 ])
-def test_count_bad_problem_exits_2(tmp_path, capsys, drop, named):
+def test_count_bad_problem_exits_2(tmp_path, capsys, edit, named):
+    """edit names a field to drop, or path=JSON sets the field at path."""
     data = engine.problem_to_json(engine.Problem(
         n=2, degrees=(degrees.plane_degree(1),), constraint_bases=((), ()),
         offsets=((0, 0), (5, 7))))
-    del data[drop]
+    path, _, value = edit.partition("=")
+    *parents, last = path.split(".")
+    obj = data
+    for key in parents:
+        obj = obj[key]
+    if value:
+        obj[last] = json.loads(value)
+    else:
+        del obj[last]
     path = write(tmp_path / "bad.json", data)
     assert cli.main(["count", "--problem", path]) == 2
     err = capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tropcount import curves, degrees
+from tropcount import curves, degrees, toric
 from tropcount.lattice import primitive
 
 
@@ -39,9 +39,10 @@ def labeled_unmarked_types(deg):
 
 def suite_degrees():
     """Every refined degree with 3 <= e <= 8 of the suite's classes."""
-    sets = [degrees.preset_flag3(s, t)
-            for s, t in ((1, 1), (1, 2), (2, 1), (1, 3))]
-    sets += [degrees.octahedron_class_set(a) for a in (1, 2, 3)]
+    sets = [degrees.class_degree_set(toric.GC3_FACETS, cls)
+            for cls in ((1, 1), (1, 2), (2, 1), (1, 3))]
+    sets += [degrees.class_degree_set(toric.OCTAHEDRON_FACETS, (a,))
+             for a in (1, 2, 3)]
     degs = [degrees.plane_degree(d) for d in (1, 2)]
     for ds in sets:
         degs += degrees.degree_set_degrees(ds)

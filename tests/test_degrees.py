@@ -1,11 +1,13 @@
-"""Coarse degrees, presets, class enumeration, refinement."""
+"""Coarse degrees, class sets from facet tables, refinement."""
 
+import itertools
 import json
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropcount import curves, degrees
+from tropcount import curves, degrees, toric
 from tropcount.lattice import primitive, rank_int
 
 
@@ -75,43 +77,109 @@ def test_plane_degree():
         degrees.plane_degree(0)
 
 
+# The closed form, the compositions and the offset rule that the flag3
+# and octahedron degree sets were once written with, kept as oracles for
+# the sets read off the facet tables.
+FLAG3_RAYS = ((-1, 0, 0), (0, 1, 0), (1, 0, 0), (1, 0, -1), (0, -1, 0),
+              (0, -1, 1))
+OCTAHEDRON_PAIRS = ((0, 1, 1), (1, 0, 0), (0, 1, 0), (1, 0, 1))
+OCTAHEDRON_RAYS = tuple(r for u in OCTAHEDRON_PAIRS
+                        for r in (u, tuple(-c for c in u)))
+
+
+def flag3_closed_form(s, t):
+    """Rays carry totals s, t, s - k, k, t - k, k for k = 0..min(s, t)."""
+    r = FLAG3_RAYS
+    return degrees.make_degree_set([
+        degrees.make_coarse(3, [(r[0], s), (r[1], t), (r[2], s - k),
+                                (r[3], k), (r[4], t - k), (r[5], k)])
+        for k in range(min(s, t) + 1)])
+
+
+def octahedron_compositions(a):
+    """Each composition a1 + a2 + a3 + a4 = a on the four opposite-direction
+    ray pairs."""
+    members = []
+    for parts in itertools.product(range(a + 1), repeat=4):
+        if sum(parts) == a:
+            members.append(degrees.make_coarse(3, [
+                (r, ai) for ai, u in zip(parts, OCTAHEDRON_PAIRS)
+                for r in (u, tuple(-c for c in u))]))
+    return degrees.make_degree_set(members)
+
+
+def capped_counts(k, cap):
+    """Every k-tuple of nonnegative integers with sum at most cap."""
+    if k == 0:
+        yield ()
+        return
+    for c in range(cap + 1):
+        for rest in capped_counts(k - 1, cap - c):
+            yield (c,) + rest
+
+
+def octahedron_offset_rule(a):
+    """Balanced totals of mass at most 2a on the octahedron rays, with
+    total a on the rays that have a negative coordinate."""
+    offset = [1 if any(c < 0 for c in r) else 0 for r in OCTAHEDRON_RAYS]
+    members = []
+    for counts in capped_counts(len(OCTAHEDRON_RAYS), 2 * a):
+        if sum(map(mul, offset, counts)) != a:
+            continue
+        if any(sum(map(mul, counts, col)) for col in zip(*OCTAHEDRON_RAYS)):
+            continue
+        members.append(degrees.make_coarse(3, zip(OCTAHEDRON_RAYS, counts)))
+    return degrees.make_degree_set(members)
+
+
+def flag3_set(s, t):
+    return degrees.class_degree_set(toric.GC3_FACETS, (s, t))
+
+
+def octahedron_set(a):
+    return degrees.class_degree_set(toric.OCTAHEDRON_FACETS, (a,))
+
+
+def test_flag3_sets_match_closed_form():
+    for s, t in itertools.product(range(4), repeat=2):
+        if (s, t) != (0, 0):
+            assert flag3_set(s, t) == flag3_closed_form(s, t)
+
+
 def test_preset_flag3_members():
-    ds = degrees.preset_flag3(1, 2)
+    ds = flag3_set(1, 2)
     assert len(ds.coarse_degrees) == 2
     k1 = degrees.make_coarse(3, [((-1, 0, 0), 1), ((0, 1, 0), 2),
                                  ((1, 0, -1), 1), ((0, -1, 0), 1),
                                  ((0, -1, 1), 1)])
     assert k1 in ds.coarse_degrees
-    assert len(degrees.preset_flag3(2, 3).coarse_degrees) == 3
-    assert len(degrees.preset_flag3(1, 0).coarse_degrees) == 1
-    for s, t in ((-1, 0), (0, 0)):
-        with pytest.raises(ValueError):
-            degrees.preset_flag3(s, t)
+    assert len(flag3_set(2, 3).coarse_degrees) == 3
+    assert len(flag3_set(1, 0).coarse_degrees) == 1
 
 
 def test_preset_octahedron_compositions():
-    assert len(degrees.preset_octahedron(1).coarse_degrees) == 4
-    assert len(degrees.preset_octahedron(2).coarse_degrees) == 10
-    for cd in degrees.preset_octahedron(2).coarse_degrees:
-        for u, c in cd.values:
-            assert cd.value(tuple(-x for x in u)) == c
-    with pytest.raises(ValueError):
-        degrees.preset_octahedron(0)
+    assert len(octahedron_compositions(1).coarse_degrees) == 4
+    assert len(octahedron_compositions(2).coarse_degrees) == 10
+    for a in range(1, 5):
+        assert set(octahedron_compositions(a).coarse_degrees) \
+            <= set(octahedron_set(a).coarse_degrees)
+
+
+def test_octahedron_sets_match_offset_rule():
+    for a in range(1, 5):
+        assert octahedron_set(a) == octahedron_offset_rule(a)
 
 
 def test_octahedron_class_set_sizes():
-    for a, size in ((1, 4), (2, 12), (3, 28)):
-        ds = degrees.octahedron_class_set(a)
+    for a, size in ((1, 4), (2, 12), (3, 28), (4, 57)):
+        ds = octahedron_set(a)
         assert len(ds.coarse_degrees) == size
-        preset = set(degrees.preset_octahedron(a).coarse_degrees)
-        assert preset <= set(ds.coarse_degrees)
-        for cd in ds.coarse_degrees:
-            assert cd.mass == 2 * a
+        assert all(cd.mass == 2 * a for cd in ds.coarse_degrees)
 
 
 def test_octahedron_class_set_extras_at_two():
-    ds = set(degrees.octahedron_class_set(2).coarse_degrees)
-    extras = ds - set(degrees.preset_octahedron(2).coarse_degrees)
+    ds = set(octahedron_set(2).coarse_degrees)
+    extras = ds - set(octahedron_compositions(2).coarse_degrees)
     want = {
         degrees.make_coarse(3, [((-1, 0, -1), 1), ((0, -1, 0), 1),
                                 ((0, 1, 1), 1), ((1, 0, 0), 1)]),
@@ -124,14 +192,52 @@ def test_octahedron_class_set_extras_at_two():
         assert rank_int([v for v, _ in cd.values]) == 3
 
 
+@pytest.mark.parametrize("facets, polytope", [
+    (toric.GC3_FACETS, toric.builtin_gc3(1)),
+    (toric.OCTAHEDRON_FACETS, toric.builtin_octahedron(1)),
+])
+def test_table_rays_are_the_negated_normal_fan(facets, polytope):
+    outward = sorted(tuple(-x for x in a) for a, _ in facets)
+    fan = toric.normal_fan(polytope)
+    assert outward == sorted(tuple(-x for x in r) for r in fan.rays)
+
+
+def test_end_counts():
+    for s, t in itertools.product(range(4), repeat=2):
+        if (s, t) != (0, 0):
+            assert degrees.end_count(toric.GC3_FACETS, (s, t)) == 2 * s + 2 * t
+    for a in range(1, 5):
+        assert degrees.end_count(toric.OCTAHEDRON_FACETS, (a,)) == 2 * a
+
+
+@pytest.mark.parametrize("facets, cls", [
+    (toric.GC3_FACETS, (-1, 0)),
+    (toric.GC3_FACETS, (0, 0)),
+    (toric.GC3_FACETS, (1,)),
+    (toric.GC3_FACETS, (1, 1, 1)),
+    (toric.GC3_FACETS, (1.0, 1)),
+    (toric.GC3_FACETS, (True, 0)),
+    (toric.OCTAHEDRON_FACETS, (0,)),
+    (toric.OCTAHEDRON_FACETS, (-2,)),
+])
+def test_bad_class_is_rejected(facets, cls):
+    with pytest.raises(ValueError, match="class must be"):
+        degrees.class_degree_set(facets, cls)
+
+
+def test_table_without_unique_anticanonical_solution_is_rejected():
+    # two parameters that enter every facet alike
+    doubled = tuple((a, coef * 2) for a, coef in toric.OCTAHEDRON_FACETS)
+    with pytest.raises(ValueError, match="facet table"):
+        degrees.end_count(doubled, (1, 1))
+
+
 def test_enumerate_coarse_degrees_mass_constraint():
-    rays = []
-    for u in degrees.OCTAHEDRON_PAIRS:
-        rays.append(u)
-        rays.append(tuple(-c for c in u))
-    ones = tuple(1 for _ in rays)
-    ds = degrees.enumerate_coarse_degrees(tuple(rays), [(ones, 2)], cap=2)
-    assert ds == degrees.octahedron_class_set(1)
+    # two ends balance only as one antipodal pair
+    ds = degrees.enumerate_coarse_degrees(OCTAHEDRON_RAYS, [], 2)
+    assert ds == octahedron_set(1)
+    assert degrees.enumerate_coarse_degrees(OCTAHEDRON_RAYS, [], 3) \
+        == degrees.make_degree_set([])
     with pytest.raises(ValueError):
         degrees.enumerate_coarse_degrees(((1, 0), (1, 0), (-1, 0)), [], 1)
     with pytest.raises(ValueError):
@@ -139,12 +245,11 @@ def test_enumerate_coarse_degrees_mass_constraint():
 
 
 def test_degree_set_degrees_dedup():
-    ds = degrees.preset_octahedron(1)
-    degs = degrees.degree_set_degrees(ds)
+    degs = degrees.degree_set_degrees(octahedron_compositions(1))
     assert len(degs) == 4
     assert all(d.e == 2 for d in degs)
-    a2 = degrees.degree_set_degrees(degrees.preset_octahedron(2))
-    a2_light = degrees.degree_set_degrees(degrees.preset_octahedron(2),
+    a2 = degrees.degree_set_degrees(octahedron_compositions(2))
+    a2_light = degrees.degree_set_degrees(octahedron_compositions(2),
                                           max_weight=1)
     assert set(a2_light) < set(a2)
 
@@ -159,7 +264,7 @@ def test_coarse_json_round_trip():
 
 
 def test_degree_set_json_round_trip():
-    ds = degrees.preset_flag3(2, 1)
+    ds = flag3_set(2, 1)
     data = json.loads(json.dumps(degrees.degree_set_to_json(ds)))
     assert degrees.degree_set_from_json(data) == ds
 

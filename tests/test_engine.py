@@ -13,15 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropcount import _kernel, curves, degrees, engine, matching
+from tropcount import _kernel, curves, degrees, engine, matching, toric
 from tropcount._kernel import pure
 from tropcount.matching import (NON_GENERAL, UNIQUE, AffineConstraint,
                                 match_constraints, verify_general)
 from tropcount.multiplicity import total_multiplicity
 
 
+def octahedron_set(a):
+    return degrees.class_degree_set(toric.OCTAHEDRON_FACETS, (a,))
+
+
 def octahedron_problem(a, bases, **kw):
-    degs = degrees.degree_set_degrees(degrees.octahedron_class_set(a))
+    degs = degrees.degree_set_degrees(octahedron_set(a))
     return engine.Problem(n=3, degrees=degs, constraint_bases=bases, **kw)
 
 
@@ -109,8 +113,9 @@ def test_compiled_kernel_is_available():
 def test_pure_lane_subprocess_matches():
     script = (
         "import json\n"
-        "from tropcount import _kernel, degrees, engine\n"
-        "degs = degrees.degree_set_degrees(degrees.octahedron_class_set(1))\n"
+        "from tropcount import _kernel, degrees, engine, toric\n"
+        "degs = degrees.degree_set_degrees(\n"
+        "    degrees.class_degree_set(toric.OCTAHEDRON_FACETS, (1,)))\n"
         "prob = engine.Problem(n=3, degrees=degs, constraint_bases=((),))\n"
         "rep = engine.count_invariant(prob, seed=3)\n"
         "print(json.dumps({'kernel': rep.kernel, 'total': rep.total}))\n")
@@ -122,8 +127,7 @@ def test_pure_lane_subprocess_matches():
     here = engine.count_invariant(
         engine.Problem(
             n=3,
-            degrees=degrees.degree_set_degrees(
-                degrees.octahedron_class_set(1)),
+            degrees=degrees.degree_set_degrees(octahedron_set(1)),
             constraint_bases=((),)), seed=3)
     assert data["total"] == here.total == 4
 
@@ -155,7 +159,7 @@ def test_problem_json_sources():
         "degree_source": {"kind": "flag3", "class": [1, 1]},
         "constraints": {"kind": "generate", "bases": [[], []]},
     })
-    ds = degrees.preset_flag3(1, 1)
+    ds = degrees.class_degree_set(toric.GC3_FACETS, (1, 1))
     assert flag.degrees == degrees.degree_set_degrees(ds)
 
     octa = engine.problem_from_json({
@@ -163,21 +167,20 @@ def test_problem_json_sources():
         "degree_source": {"kind": "octahedron", "class": 2},
         "constraints": {"kind": "generate", "bases": [[], []]},
     })
-    assert octa.degrees == degrees.degree_set_degrees(
-        degrees.octahedron_class_set(2))
+    assert octa.degrees == degrees.degree_set_degrees(octahedron_set(2))
 
     coarse = engine.problem_from_json({
         "rank": 3,
         "degree_source": {
             "kind": "coarse",
             "coarse_degrees": degrees.degree_set_to_json(
-                degrees.preset_octahedron(1)),
+                octahedron_set(1)),
             "max_weight": 1,
         },
         "constraints": {"kind": "generate", "bases": [[]]},
     })
     assert coarse.degrees == degrees.degree_set_degrees(
-        degrees.preset_octahedron(1), max_weight=1)
+        octahedron_set(1), max_weight=1)
 
     with pytest.raises(ValueError):
         engine.problem_from_json({
@@ -237,7 +240,7 @@ def test_problem_json_offsets_must_fit():
         engine.problem_from_json(data)
 
 
-LINES = degrees.OCTAHEDRON_PAIRS
+LINES = ((0, 1, 1), (1, 0, 0), (0, 1, 0), (1, 0, 1))
 # one point and two lines, over every distribution of the two line
 # directions (acceptance criterion 6)
 LINE_DISTRIBUTIONS = [((), (LINES[i],), (LINES[j],))
@@ -311,7 +314,7 @@ def exhaustive_curves(task):
 
 def mixed_tasks(constraints):
     """Worker tasks of every type that one point and two lines cut."""
-    degs = degrees.degree_set_degrees(degrees.octahedron_class_set(2))
+    degs = degrees.degree_set_degrees(octahedron_set(2))
     return [(comb, gens, tuple(constraints)) for deg in degs if deg.e == 4
             for comb, gens in curves.unmarked_types(deg)]
 

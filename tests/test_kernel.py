@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropcount import _kernel, curves, degrees, engine
+from tropcount import _kernel, curves, degrees, engine, toric
 from tropcount._kernel import build, pure
 from tropcount.matching import AffineConstraint
 
@@ -32,7 +32,8 @@ def small_degrees():
     """Types of the degrees whose point-constraint system is square,
     one list per degree."""
     degs = [degrees.plane_degree(2)]
-    degs += degrees.degree_set_degrees(degrees.preset_flag3(1, 2))
+    degs += degrees.degree_set_degrees(
+        degrees.class_degree_set(toric.GC3_FACETS, (1, 2)))
     return [[(deg.n, comb) for comb, _ in curves.unmarked_types(deg)]
             for deg in degs
             if deg.e <= 6 and (deg.n + deg.e - 3) % (deg.n - 1) == 0]
@@ -155,14 +156,15 @@ def test_overflow_falls_back_and_is_logged(caplog):
     assert "overflowed 2^62" in caplog.text
 
 
-LINES = degrees.OCTAHEDRON_PAIRS
+LINES = ((0, 1, 1), (1, 0, 0), (0, 1, 0), (1, 0, 1))
 
 
 @functools.cache
 def mixed_types():
     """Types of octahedron class 2 whose system against one point and
     two lines is square."""
-    degs = degrees.degree_set_degrees(degrees.octahedron_class_set(2))
+    degs = degrees.degree_set_degrees(
+        degrees.class_degree_set(toric.OCTAHEDRON_FACETS, (2,)))
     return [comb for deg in degs if deg.e == 4
             for comb, _ in curves.unmarked_types(deg)]
 
