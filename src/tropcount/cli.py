@@ -37,8 +37,12 @@ def _cmd_count(args):
         print("problem is marked long; pass --long to run it",
               file=sys.stderr)
         return 2
-    report = engine.count_invariant(problem, seed=args.seed,
-                                    workers=args.workers)
+    try:
+        report = engine.count_invariant(problem, seed=args.seed,
+                                        workers=args.workers)
+    except (ValueError, engine.GeneralPositionError) as exc:
+        print("tropcount count: %s" % exc, file=sys.stderr)
+        return 2
     _emit(engine.report_to_json(report), args.out)
     return 0
 

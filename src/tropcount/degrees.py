@@ -3,9 +3,10 @@
 A coarse degree records, per primitive direction, the total weight of all
 ends pointing that way.  Curve classes enter as integer linear constraints
 on these ray totals.  For a toric degeneration given by a facet table of
-its moment polytope (toric.GC3_FACETS for the flag threefold,
-toric.OCTAHEDRON_FACETS for the quadric), class_degree_set reads the
-rays, the class functionals and the number of ends off the table.
+its moment polytope (GC3_FACETS for the flag threefold, OCTAHEDRON_FACETS
+for the quadric), class_degree_set reads the rays, the class functionals
+and the number of ends off the table; toric builds the polytopes from
+the same tables.
 """
 
 from dataclasses import dataclass
@@ -13,6 +14,31 @@ from operator import mul
 
 from .curves import make_degree
 from .lattice import is_zero, primitive, solve_rational
+
+# Facet tables of the built-in families: per facet, its inward normal
+# and the coefficients of its constant in the class parameters.  The
+# rays and classes of curves are read off the same tables
+# (class_degree_set), and toric.builtin_gc3 and toric.builtin_octahedron
+# evaluate them.
+GC3_FACETS = (
+    ((0, -1, 0), (1, 1)),
+    ((0, 1, 0), (-1, 0)),
+    ((-1, 0, 0), (1, 0)),
+    ((1, 0, 0), (0, 0)),
+    ((0, 1, -1), (0, 0)),
+    ((-1, 0, 1), (0, 0)),
+)
+
+OCTAHEDRON_FACETS = (
+    ((0, 1, 1), (0,)),
+    ((-1, 0, 0), (1,)),
+    ((0, -1, 0), (1,)),
+    ((1, 0, 1), (0,)),
+    ((0, 1, 0), (0,)),
+    ((-1, 0, -1), (1,)),
+    ((0, -1, -1), (1,)),
+    ((1, 0, 0), (0,)),
+)
 
 
 @dataclass(frozen=True)
@@ -166,19 +192,26 @@ def enumerate_coarse_degrees(rays, linear_constraints, total):
     return make_degree_set(found)
 
 
-def end_count(facets, cls):
-    """The number of ends -K.beta of class cls (one nonnegative integer
-    per class parameter, not all zero) for a facet table.
-
-    -K, the sum of the toric divisors, is alpha . (class divisors) plus
-    the principal divisor of m: solve alpha . coef_rho + <a_rho, m> = 1
-    over the facets rho; then -K.beta is alpha . cls.
-    """
+def check_class(facets, cls):
+    """Raise ValueError unless cls is one nonnegative integer (not a
+    bool or a float) per class parameter of the facet table, not all
+    zero."""
     k = len(facets[0][1])
     if (len(cls) != k or any(type(c) is not int for c in cls)
             or min(cls) < 0 or not any(cls)):
         raise ValueError("class must be %d nonnegative integer%s, not all "
                          "zero, not %r" % (k, "s" * (k > 1), cls))
+
+
+def end_count(facets, cls):
+    """The number of ends -K.beta of class cls (see check_class) for a
+    facet table.
+
+    -K, the sum of the toric divisors, is alpha . (class divisors) plus
+    the principal divisor of m: solve alpha . coef_rho + <a_rho, m> = 1
+    over the facets rho; then -K.beta is alpha . cls.
+    """
+    check_class(facets, cls)
     res = solve_rational([coef + a for a, coef in facets], [1] * len(facets))
     if res.status != "unique":
         raise ValueError("facet table %r has no unique anticanonical "
@@ -189,7 +222,7 @@ def end_count(facets, cls):
 def class_degree_set(facets, cls):
     """Every coarse degree of class cls for a facet table, which lists
     (inward normal, coefficients of its constant in the class
-    parameters) per facet (see toric.GC3_FACETS).
+    parameters) per facet (see GC3_FACETS).
 
     The rays are the outward normals.  Functional i takes a ray to
     coefficient i of its facet's constant; a member meets it at cls[i]

@@ -20,15 +20,16 @@ from math import comb
 from operator import mul
 
 from . import _kernel
+from . import degrees as degmod
 from .curves import (CombType, Degree, edge_base_vertex, edge_count,
                      edge_dir, enumerate_types, make_degree, orbit_min,
                      path_signs, unmarked_types)
+from .degrees import GC3_FACETS, OCTAHEDRON_FACETS
 from .lattice import cached_quotient_map, quotient_map
 from .matching import (NON_GENERAL, UNIQUE, AffineConstraint, check_basis,
                        generate_constraints, match_constraints,
                        verify_general)
 from .multiplicity import total_multiplicity
-from .toric import GC3_FACETS, OCTAHEDRON_FACETS
 
 MAX_RETRIES = 32
 
@@ -37,6 +38,11 @@ log = logging.getLogger("tropcount")
 ODD_VANISHING_NOTE = ("an insertion from odd cohomology forces the "
                       "invariant to vanish")
 DIMENSION_NOTE = "constraint codimensions do not sum to e+n-3"
+
+
+class GeneralPositionError(RuntimeError):
+    """The offsets of a count never became general: the sampled ones
+    within MAX_RETRIES attempts, or the fixed ones of the problem."""
 
 
 @dataclass(frozen=True)
@@ -95,9 +101,6 @@ def _groups(constraints):
 
 def _constraints_for(problem, seed, retry):
     if problem.offsets is not None:
-        if retry > 0:
-            raise RuntimeError(
-                "could not reach general position; increase bound")
         return [AffineConstraint(tuple(off), tuple(tuple(v) for v in basis))
                 for off, basis in zip(problem.offsets,
                                       problem.constraint_bases)]
@@ -224,31 +227,50 @@ def _count_degenerate(t, constraints):
     return [CurveRecord(t, mult, out.solution)]
 
 
-def _count_one_degree(deg, constraints, pool, workers):
-    """(curves of one degree, None), or (None, the first type whose
-    offsets are not general)."""
-    if deg.e == 2:
-        t = enumerate_types(deg, len(constraints))[0]
-        curves = _count_degenerate(t, constraints)
-        return (None, t) if curves is None else (curves, None)
-    tasks = [(comb, gens, tuple(constraints))
-             for comb, gens in unmarked_types(deg)]
+def _attempt(degrees, active, constraints, pool, workers):
+    """(degree reports, None) for one sample of offsets, or (None,
+    (degree, type)) for the first type whose offsets are not general.
+
+    The types of every active degree with more than two ends go out as
+    one batch, degrees in order and types in unmarked_types order, so a
+    count makes one pool round trip per attempt.  Results are read
+    degree by degree, so a serial attempt stops after the first degree
+    that is not general.
+    """
+    constraints = tuple(constraints)
+    types = [unmarked_types(deg) if act and deg.e > 2 else ()
+             for deg, act in zip(degrees, active)]
+    tasks = [(comb, gens, constraints) for ts in types for comb, gens in ts]
     if pool is None:
         results = map(_count_type, tasks)
     else:
-        chunk = max(1, len(tasks) // (workers * 4))
-        results = pool.map(_count_type, tasks, chunksize=chunk)
-    curves = []
-    failed = None
-    for task, res in zip(tasks, results):
-        if res is None:
-            if failed is None:
-                failed = task[0]
-        elif failed is None:
-            curves.extend(res)
-    if failed is not None:
-        return None, failed
-    return curves, None
+        results = pool.map(_count_type, tasks,
+                           chunksize=max(1, -(-len(tasks) // workers)))
+    reports = []
+    for deg, act, ts in zip(degrees, active, types):
+        if not act:
+            reports.append(DegreeReport(deg, False, 0, (), DIMENSION_NOTE))
+            continue
+        if deg.e == 2:
+            t = enumerate_types(deg, len(constraints))[0]
+            found = _count_degenerate(t, constraints)
+            if found is None:
+                return None, (deg, t)
+        else:
+            found, bad = [], None
+            # zip asks ts first, so it takes exactly this degree's results
+            for (comb, _), res in zip(ts, results):
+                if res is None:
+                    if bad is None:
+                        bad = comb
+                elif bad is None:
+                    found.extend(res)
+            if bad is not None:
+                return None, (deg, bad)
+        reports.append(DegreeReport(
+            deg, True, sum(c.multiplicity.total for c in found),
+            tuple(found)))
+    return reports, None
 
 
 def count_invariant(problem, seed=0, workers=1):
@@ -257,7 +279,14 @@ def count_invariant(problem, seed=0, workers=1):
     Runs every degree of the problem against one shared sample of
     constraint offsets, re-sampling (seed stream "seed:retry") until no
     type reports a non-general configuration, and sums multiplicities.
+    workers > 1 runs the per-type searches in a process pool started
+    for this count.  Raises ValueError for a workers that is not a
+    positive integer, and GeneralPositionError when fixed offsets are
+    not general or MAX_RETRIES samples all fail.
     """
+    if type(workers) is not int or workers < 1:
+        raise ValueError("workers must be a positive integer, not %r"
+                         % (workers,))
     t0 = time.perf_counter()
     # selected before the pool starts, so workers inherit the lane
     kernel = _kernel.implementation()
@@ -285,32 +314,28 @@ def count_invariant(problem, seed=0, workers=1):
             pool = ProcessPoolExecutor(max_workers=workers)
         for retry in range(MAX_RETRIES):
             constraints = _constraints_for(problem, seed, retry)
-            reports = []
-            bad = None
-            for deg, act in zip(problem.degrees, active):
-                if not act:
-                    reports.append(DegreeReport(deg, False, 0, (),
-                                                DIMENSION_NOTE))
-                    continue
-                curves, bad = _count_one_degree(deg, constraints, pool,
-                                                workers)
-                if bad is not None:
-                    log.info("offsets of retry %d are not general for "
-                             "degree %s at type %s; re-sampling", retry,
-                             json.dumps(degree_to_json(deg)),
-                             json.dumps(comb_type_to_json(bad)))
-                    break
-                subtotal = sum(c.multiplicity.total for c in curves)
-                reports.append(DegreeReport(deg, True, subtotal,
-                                            tuple(curves)))
+            reports, bad = _attempt(problem.degrees, active, constraints,
+                                    pool, workers)
             if bad is None:
-                total = sum(r.subtotal for r in reports)
                 return CountReport(
-                    total=total, per_degree=tuple(reports),
+                    total=sum(r.subtotal for r in reports),
+                    per_degree=tuple(reports),
                     seeds_used=(seed,), genericity_retries=retry,
                     timing=time.perf_counter() - t0,
                     kernel=kernel, workers=workers)
-        raise RuntimeError("could not reach general position; increase bound")
+            where = "degree %s at type %s" % (
+                json.dumps(degree_to_json(bad[0])),
+                json.dumps(comb_type_to_json(bad[1])))
+            if problem.offsets is not None:
+                raise GeneralPositionError(
+                    "the fixed offsets are not in general position for "
+                    + where)
+            log.info("offsets of retry %d are not general for %s; "
+                     "re-sampling", retry, where)
+        raise GeneralPositionError(
+            "could not reach general position in %d attempts with bound %d;"
+            " the last was not general for %s; increase bound"
+            % (MAX_RETRIES, problem.bound, where))
     finally:
         if pool is not None:
             pool.shutdown()
@@ -380,27 +405,39 @@ def _field(obj, key, where):
 PRESET_FACETS = {"flag3": GC3_FACETS, "octahedron": OCTAHEDRON_FACETS}
 
 
-def _degrees_from_source(src):
-    from . import degrees as degmod
+@lru_cache(maxsize=None)
+def _preset_degrees(kind, cls, max_weight):
+    """The refined degrees of a preset class, expanded once per process.
+    Callers check cls and max_weight first: True == 1 and 1.0 == 1 hash
+    alike, so a lookup before the check would let a cached valid class
+    answer a malformed one."""
+    return degmod.degree_set_degrees(
+        degmod.class_degree_set(PRESET_FACETS[kind], cls), max_weight)
 
+
+def _degrees_from_source(src):
     kind = _field(src, "kind", "degree_source")
     if kind == "explicit":
         return tuple(degree_from_json(d)
                      for d in _field(src, "degrees", "degree_source"))
     max_weight = src.get("max_weight")
+    if max_weight is not None and (type(max_weight) is not int
+                                   or max_weight < 1):
+        raise ValueError("degree_source.max_weight must be a positive "
+                         "integer, not %r" % (max_weight,))
     if kind in PRESET_FACETS:
         cls = _field(src, "class", "degree_source")
+        cls = cls if isinstance(cls, list) else [cls]
         try:
-            ds = degmod.class_degree_set(
-                PRESET_FACETS[kind], cls if isinstance(cls, list) else [cls])
+            degmod.check_class(PRESET_FACETS[kind], cls)
         except ValueError as exc:
             raise ValueError("degree_source.%s" % exc) from None
-    elif kind == "coarse":
-        ds = degmod.degree_set_from_json(
-            _field(src, "coarse_degrees", "degree_source"))
-    else:
-        raise ValueError("unknown degree_source kind %r" % (kind,))
-    return degmod.degree_set_degrees(ds, max_weight)
+        return _preset_degrees(kind, tuple(cls), max_weight)
+    if kind == "coarse":
+        return degmod.degree_set_degrees(
+            degmod.degree_set_from_json(
+                _field(src, "coarse_degrees", "degree_source")), max_weight)
+    raise ValueError("unknown degree_source kind %r" % (kind,))
 
 
 def problem_from_json(data):
@@ -412,10 +449,11 @@ def problem_from_json(data):
     generate (offsets drawn from the seed) or explicit (fixed offsets,
     one per basis, each of length rank).  options odd_insertions and
     long (read by the command line) are JSON booleans.  A missing field,
-    a malformed class or option, explicit offsets of the wrong length, a
-    constraint basis that is not a saturated independent set of
-    rank-length vectors, or a degree of another rank raise ValueError
-    naming the field.
+    a malformed class, max_weight or option, explicit offsets of the
+    wrong length, a constraint basis that is not a saturated independent
+    set of rank-length vectors, or a degree of another rank raise
+    ValueError naming the field.  A preset class is expanded once per
+    process.
     """
     rank = _field(data, "rank", "problem")
     if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:

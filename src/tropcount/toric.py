@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
+from .degrees import GC3_FACETS, OCTAHEDRON_FACETS
 from .lattice import (bareiss_det, int_matrix_inverse, is_zero, primitive,
                       rank_int, solve_rational)
 
@@ -449,31 +450,6 @@ def verify_small_resolution(fan, cert):
 
     ok = not any(line.startswith("(") for line in report)
     return ok, report
-
-
-# Facet tables of the built-in families: per facet, its inward normal
-# and the coefficients of its constant in the class parameters.  The
-# rays and classes of curves are read off the same tables
-# (degrees.class_degree_set).
-GC3_FACETS = (
-    ((0, -1, 0), (1, 1)),
-    ((0, 1, 0), (-1, 0)),
-    ((-1, 0, 0), (1, 0)),
-    ((1, 0, 0), (0, 0)),
-    ((0, 1, -1), (0, 0)),
-    ((-1, 0, 1), (0, 0)),
-)
-
-OCTAHEDRON_FACETS = (
-    ((0, 1, 1), (0,)),
-    ((-1, 0, 0), (1,)),
-    ((0, -1, 0), (1,)),
-    ((1, 0, 1), (0,)),
-    ((0, 1, 0), (0,)),
-    ((-1, 0, -1), (1,)),
-    ((0, -1, -1), (1,)),
-    ((1, 0, 0), (0,)),
-)
 
 
 def _table_polytope(facets, lam):

@@ -94,23 +94,35 @@ def test_count_long_gate(tmp_path):
      "degree_source.class"),
     ('degree_source={"kind": "octahedron", "class": "2"}',
      "degree_source.class"),
+    ('degree_source={"kind": "octahedron", "class": 2, "max_weight": 1.0}',
+     "degree_source.max_weight"),
+    ('constraints={"kind": "generate", "bases": [[], []], "bound": 0}',
+     "with bound 0"),
+    ("constraints.offsets=[[0, 0], [0, 0]]", "fixed offsets"),
+    ("--workers=0", "workers must be a positive integer"),
+    ("--workers=-3", "workers must be a positive integer"),
 ])
 def test_count_bad_problem_exits_2(tmp_path, capsys, edit, named):
-    """edit names a field to drop, or path=JSON sets the field at path."""
+    """edit names a field to drop, sets the field at path with
+    path=JSON, or passes a count option with --option=value."""
     data = engine.problem_to_json(engine.Problem(
         n=2, degrees=(degrees.plane_degree(1),), constraint_bases=((), ()),
         offsets=((0, 0), (5, 7))))
-    path, _, value = edit.partition("=")
-    *parents, last = path.split(".")
-    obj = data
-    for key in parents:
-        obj = obj[key]
-    if value:
-        obj[last] = json.loads(value)
+    options = []
+    if edit.startswith("--"):
+        options = edit.split("=", 1)
     else:
-        del obj[last]
+        path, _, value = edit.partition("=")
+        *parents, last = path.split(".")
+        obj = data
+        for key in parents:
+            obj = obj[key]
+        if value:
+            obj[last] = json.loads(value)
+        else:
+            del obj[last]
     path = write(tmp_path / "bad.json", data)
-    assert cli.main(["count", "--problem", path]) == 2
+    assert cli.main(["count", "--problem", path, *options]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and named in err
     assert "Traceback" not in err

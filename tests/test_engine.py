@@ -85,14 +85,112 @@ def test_octahedron_conics_through_two_points():
         assert r.active == (r.degree.e == 4)
 
 
+def report_without_run(rep):
+    """report_to_json without the fields that differ between runs."""
+    data = engine.report_to_json(rep)
+    del data["timing"], data["workers"]
+    return data
+
+
 def test_workers_match_serial():
-    prob = octahedron_problem(1, ((),))
-    serial = engine.count_invariant(prob, seed=2, workers=1)
-    parallel = engine.count_invariant(prob, seed=2, workers=2)
-    assert serial.total == parallel.total == 4
-    assert [r.subtotal for r in serial.per_degree] == \
-        [r.subtotal for r in parallel.per_degree]
-    assert parallel.workers == 2
+    """Whole reports, curve records included, for one point on class 1
+    and for one point and two lines on class 2."""
+    for prob, total in ((octahedron_problem(1, ((),)), 4),
+                        (octahedron_problem(2, LINE_DISTRIBUTIONS[1]), 3)):
+        serial = engine.count_invariant(prob, seed=2, workers=1)
+        parallel = engine.count_invariant(prob, seed=2, workers=2)
+        assert serial.total == parallel.total == total
+        assert report_without_run(serial) == report_without_run(parallel)
+        assert parallel.workers == 2
+
+
+def recording_pool(calls):
+    """A stand-in for ProcessPoolExecutor that runs map in process and
+    records the task count of each map and each shutdown."""
+    class RecordingPool:
+        def __init__(self, max_workers):
+            calls["workers"] = max_workers
+
+        def map(self, fn, tasks, chunksize=1):
+            tasks = list(tasks)
+            calls["maps"].append(len(tasks))
+            return map(fn, tasks)
+
+        def shutdown(self):
+            calls["shutdowns"] += 1
+
+    return RecordingPool
+
+
+def test_one_pool_map_per_attempt(monkeypatch):
+    """Every type of every active degree with more than two ends goes
+    to the pool in one map per attempt, and the pool is shut once."""
+    calls = {"maps": [], "shutdowns": 0}
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", recording_pool(calls))
+    rep = engine.count_invariant(
+        octahedron_problem(2, LINE_DISTRIBUTIONS[1]), seed=1, workers=2)
+    assert rep.total == 3 and rep.genericity_retries == 0
+    batched = [r.degree for r in rep.per_degree
+               if r.active and r.degree.e > 2]
+    types = sum(len(curves.unmarked_types(d)) for d in batched)
+    assert types > len(batched) > 1
+    assert calls == {"workers": 2, "maps": [types], "shutdowns": 1}
+
+    calls.update(maps=[], shutdowns=0)
+    rep = engine.count_invariant(
+        engine.Problem(n=2, degrees=(degrees.plane_degree(1),),
+                       constraint_bases=((), ()), bound=1),
+        seed=2, workers=2)
+    assert rep.genericity_retries == 2
+    assert calls == {"workers": 2, "maps": [1, 1, 1], "shutdowns": 1}
+
+
+def raise_in_worker(task):
+    raise ArithmeticError("raised in a worker")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_worker_error_reaches_the_caller(monkeypatch, workers):
+    monkeypatch.setattr(engine, "_count_type", raise_in_worker)
+    prob = engine.Problem(n=2, degrees=(degrees.plane_degree(1),),
+                          constraint_bases=((), ()))
+    with pytest.raises(ArithmeticError, match="raised in a worker"):
+        engine.count_invariant(prob, seed=1, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [0, -3, True, 2.0, "2"])
+def test_workers_must_be_a_positive_integer(workers):
+    with pytest.raises(ValueError, match="workers must be a positive"):
+        engine.count_invariant(octahedron_problem(1, ((),)),
+                               workers=workers)
+
+
+def test_retry_starvation_names_bound_attempts_degree_and_type():
+    prob = engine.Problem(n=2, degrees=(degrees.plane_degree(1),),
+                          constraint_bases=((), ()), bound=0)
+    with pytest.raises(engine.GeneralPositionError) as info:
+        engine.count_invariant(prob, seed=1)
+    msg = str(info.value)
+    deg = json.dumps(engine.degree_to_json(degrees.plane_degree(1)))
+    assert "in %d attempts with bound 0" % engine.MAX_RETRIES in msg
+    assert "not general for degree %s at type {" % deg in msg
+    assert "\n" not in msg
+
+    fixed = replace(prob, offsets=((0, 0), (0, 0)))
+    with pytest.raises(engine.GeneralPositionError,
+                       match="fixed offsets are not in general position "
+                             "for degree"):
+        engine.count_invariant(fixed)
+
+
+def test_engine_does_not_import_toric():
+    """The count path reaches the facet tables without loading the
+    simplex and fan code, so pool workers do not carry it."""
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, tropcount.engine; "
+         "print('tropcount.toric' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_count_report_fields():
@@ -196,6 +294,34 @@ def test_problem_json_sources():
         })
 
 
+def preset_problem(source):
+    return {"rank": 3, "degree_source": source,
+            "constraints": {"kind": "generate", "bases": [[], []]}}
+
+
+def test_preset_class_is_expanded_once_and_checked_first():
+    """A preset class expands once per process.  The class is checked
+    before the lookup: True == 1 and 1.0 == 1 hash alike, so a cached
+    [1, 1] must not answer [true, 1]."""
+    prob = engine.problem_from_json(
+        preset_problem({"kind": "flag3", "class": [1, 1]}))
+    assert engine.count_invariant(prob, seed=1).total == 1
+    again = engine.problem_from_json(
+        preset_problem({"kind": "flag3", "class": [1, 1]}))
+    assert again.degrees is prob.degrees
+    for bad in ([True, 1], [1.0, 1]):
+        with pytest.raises(ValueError, match=r"degree_source\.class"):
+            engine.problem_from_json(
+                preset_problem({"kind": "flag3", "class": bad}))
+
+    capped = {"kind": "octahedron", "class": 2, "max_weight": 1}
+    assert engine.problem_from_json(preset_problem(capped)).degrees
+    for bad in (True, 1.0, 0):
+        with pytest.raises(ValueError, match=r"degree_source\.max_weight"):
+            engine.problem_from_json(
+                preset_problem(dict(capped, max_weight=bad)))
+
+
 PLANE_LINE = {
     "rank": 2,
     "degree_source": {"kind": "explicit", "degrees": [
@@ -273,12 +399,13 @@ def test_mixed_count_runs_the_search(monkeypatch):
     assert calls["match"] == sum(len(r.curves) for r in rep.per_degree) > 0
 
 
-def test_each_genericity_retry_is_logged(caplog):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_genericity_retry_is_logged(caplog, workers):
     """Offsets within +-1 collide, so this count re-samples twice."""
     prob = engine.Problem(n=2, degrees=(degrees.plane_degree(1),),
                           constraint_bases=((), ()), bound=1)
     with caplog.at_level(logging.INFO, logger="tropcount"):
-        rep = engine.count_invariant(prob, seed=2)
+        rep = engine.count_invariant(prob, seed=2, workers=workers)
     assert rep.total == 1 and rep.genericity_retries == 2
     lines = [r.getMessage() for r in caplog.records
              if "not general" in r.getMessage()]
