@@ -10,12 +10,19 @@ import contextlib
 import json
 import sys
 
-from . import curves, engine, matching, toric
+from . import curves, engine, matching
 
 
 def _load(path):
-    with open(path) as fp:
-        return json.load(fp)
+    """The JSON in the file at path, or a ValueError naming the file."""
+    try:
+        with open(path) as fp:
+            return json.load(fp)
+    except OSError as exc:
+        raise ValueError("cannot read %s: %s" % (path, exc.strerror)) from None
+    except json.JSONDecodeError as exc:
+        raise ValueError("%s:%d:%d: not JSON: %s"
+                         % (path, exc.lineno, exc.colno, exc.msg)) from None
 
 
 def _emit(data, out=None):
@@ -27,8 +34,8 @@ def _emit(data, out=None):
 
 
 def _cmd_count(args):
-    data = _load(args.problem)
     try:
+        data = _load(args.problem)
         problem = engine.problem_from_json(data)
     except ValueError as exc:
         print("tropcount count: bad problem file: %s" % exc, file=sys.stderr)
@@ -61,7 +68,8 @@ def _cmd_constraints(args):
     bases = tuple(tuple(tuple(v) for v in basis)
                   for basis in data["bases"])
     cons = matching.generate_constraints(
-        data["rank"], bases, args.seed, bound=data.get("bound", 10 ** 6))
+        data["rank"], bases, args.seed,
+        bound=data.get("bound", engine.Problem.bound))
     _emit({"constraints": [{"offset": list(c.offset),
                             "basis": [list(v) for v in c.basis]}
                            for c in cons]}, args.out)
@@ -74,6 +82,8 @@ def _cmd_oracle(args):
 
 
 def _cmd_toric_verify(args):
+    from . import toric  # not needed to start the command line
+
     fan = toric.fan_from_json(_load(args.fan))
     cert = toric.certificate_from_json(_load(args.cert))
     ok, report = toric.verify_small_resolution(fan, cert)

@@ -112,7 +112,8 @@ def _kernel_inputs(comb, constraints):
     """Search inputs of one type: per group of constraints sharing a
     basis, each edge's coefficient block and right-hand sides in the
     quotient by the edge direction and the basis, and the data that
-    recovers the parameter along the edge (see _kernel.pure)."""
+    recovers the parameter along the edge (see _kernel.pure).  Built apart
+    from matching.incidence_rows, which re-verifies every candidate."""
     n = comb.n
     nb = len(comb.bounded)
     sign = path_signs(comb)
@@ -388,10 +389,6 @@ def degree_to_json(deg):
     return {"entries": [[list(u), w] for u, w in deg.entries]}
 
 
-def degree_from_json(data):
-    return make_degree([(tuple(u), w) for u, w in data["entries"]])
-
-
 def _field(obj, key, where):
     """obj[key] of a problem's JSON, or a ValueError naming the field."""
     if not isinstance(obj, dict):
@@ -399,6 +396,58 @@ def _field(obj, key, where):
     if key not in obj:
         raise ValueError("%s is missing %r" % (where, key))
     return obj[key]
+
+
+def _list(x, where):
+    """x when it is a JSON list, or a ValueError naming the field."""
+    if not isinstance(x, (list, tuple)):
+        raise ValueError("%s must be a JSON list, not %r" % (where, x))
+    return x
+
+
+def _int(x, where, low=None):
+    """x when it is a JSON integer (not a bool or a float) of at least
+    low, or a ValueError naming the field."""
+    if type(x) is not int or (low is not None and x < low):
+        raise ValueError("%s must be an integer%s, not %r" % (
+            where, "" if low is None else " >= %d" % low, x))
+    return x
+
+
+def _ints(x, where):
+    """x as a tuple of JSON integers, or a ValueError naming the entry."""
+    return tuple(_int(v, "%s[%d]" % (where, i))
+                 for i, v in enumerate(_list(x, where)))
+
+
+def degree_from_json(data, where="degree"):
+    """The Degree of {"entries": [[direction, weight], ...]}; a
+    ValueError names the field at fault, under the prefix where."""
+    entries = []
+    for i, entry in enumerate(_list(_field(data, "entries", where),
+                                    where + ".entries")):
+        at = "%s.entries[%d]" % (where, i)
+        if len(_list(entry, at)) != 2:
+            raise ValueError("%s must be a [direction, weight] pair" % at)
+        entries.append((_ints(entry[0], at + "[0]"),
+                        _int(entry[1], at + "[1]", 1)))
+    try:
+        return make_degree(entries)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (where, exc)) from None
+
+
+def _coarse_from_json(data, where):
+    """The degree set of a coarse_degrees list, checked field by field."""
+    for i, coarse in enumerate(_list(data, where)):
+        for j, item in enumerate(_list(coarse, "%s[%d]" % (where, i))):
+            at = "%s[%d][%d]" % (where, i, j)
+            _ints(_field(item, "ray", at), at + ".ray")
+            _int(_field(item, "count", at), at + ".count", 1)
+    try:
+        return degmod.degree_set_from_json(data)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (where, exc)) from None
 
 
 # preset degree_source kinds, by the facet table whose classes they name
@@ -418,13 +467,13 @@ def _preset_degrees(kind, cls, max_weight):
 def _degrees_from_source(src):
     kind = _field(src, "kind", "degree_source")
     if kind == "explicit":
-        return tuple(degree_from_json(d)
-                     for d in _field(src, "degrees", "degree_source"))
+        degrees = _list(_field(src, "degrees", "degree_source"),
+                        "degree_source.degrees")
+        return tuple(degree_from_json(d, "degree_source.degrees[%d]" % i)
+                     for i, d in enumerate(degrees))
     max_weight = src.get("max_weight")
-    if max_weight is not None and (type(max_weight) is not int
-                                   or max_weight < 1):
-        raise ValueError("degree_source.max_weight must be a positive "
-                         "integer, not %r" % (max_weight,))
+    if max_weight is not None:
+        _int(max_weight, "degree_source.max_weight", 1)
     if kind in PRESET_FACETS:
         cls = _field(src, "class", "degree_source")
         cls = cls if isinstance(cls, list) else [cls]
@@ -434,9 +483,9 @@ def _degrees_from_source(src):
             raise ValueError("degree_source.%s" % exc) from None
         return _preset_degrees(kind, tuple(cls), max_weight)
     if kind == "coarse":
-        return degmod.degree_set_degrees(
-            degmod.degree_set_from_json(
-                _field(src, "coarse_degrees", "degree_source")), max_weight)
+        return degmod.degree_set_degrees(_coarse_from_json(
+            _field(src, "coarse_degrees", "degree_source"),
+            "degree_source.coarse_degrees"), max_weight)
     raise ValueError("unknown degree_source kind %r" % (kind,))
 
 
@@ -451,27 +500,31 @@ def problem_from_json(data):
     long (read by the command line) are JSON booleans.  A missing field,
     a malformed class, max_weight or option, explicit offsets of the
     wrong length, a constraint basis that is not a saturated independent
-    set of rank-length vectors, or a degree of another rank raise
-    ValueError naming the field.  A preset class is expanded once per
-    process.
+    set of rank-length vectors, a float or string where an integer
+    belongs, or a degree of another rank raise ValueError naming the
+    field.  A preset class is expanded once per process.
     """
-    rank = _field(data, "rank", "problem")
-    if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
-        raise ValueError("rank must be a positive integer, not %r" % (rank,))
+    rank = _int(_field(data, "rank", "problem"), "rank", 1)
     source = _field(data, "degree_source", "problem")
     cons = _field(data, "constraints", "problem")
-    bases = tuple(tuple(tuple(v) for v in basis)
-                  for basis in _field(cons, "bases", "constraints"))
-    for i, basis in enumerate(bases):
+    bases = []
+    for i, basis in enumerate(_list(_field(cons, "bases", "constraints"),
+                                    "constraints.bases")):
+        at = "constraints.bases[%d]" % i
+        bases.append(tuple(_ints(v, "%s[%d]" % (at, j))
+                           for j, v in enumerate(_list(basis, at))))
         try:
-            check_basis(rank, basis)
+            check_basis(rank, bases[-1])
         except ValueError as exc:
-            raise ValueError("constraints.bases[%d]: %s" % (i, exc)) from None
+            raise ValueError("%s: %s" % (at, exc)) from None
+    bases = tuple(bases)
     kind = _field(cons, "kind", "constraints")
     offsets = None
     if kind == "explicit":
-        offsets = tuple(tuple(x) for x in _field(cons, "offsets",
-                                                 "constraints"))
+        offsets = _list(_field(cons, "offsets", "constraints"),
+                        "constraints.offsets")
+        offsets = tuple(_ints(off, "constraints.offsets[%d]" % i)
+                        for i, off in enumerate(offsets))
         if len(offsets) != len(bases):
             raise ValueError("constraints.offsets has %d entries for %d bases"
                              % (len(offsets), len(bases)))
@@ -495,7 +548,8 @@ def problem_from_json(data):
                              % (key, options[key]))
     kwargs = {}
     if cons.get("bound") is not None:
-        kwargs["bound"] = cons["bound"]
+        # 0 is legal: the offsets are all zero and the retries starve
+        kwargs["bound"] = _int(cons["bound"], "constraints.bound", 0)
     return Problem(n=rank, degrees=degrees, constraint_bases=bases,
                    offsets=offsets,
                    odd_insertions=options.get("odd_insertions", False),

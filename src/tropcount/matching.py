@@ -1,10 +1,13 @@
 """Matching a combinatorial type against affine incidence constraints.
 
 The unknowns of a type are the position of vertex 0 and one length per
-bounded edge, lengths measured in units of the primitive edge direction.
-Each marked point contributes the condition that its edge meets an
-affine subspace; projecting along the edge direction and the subspace
-span turns that into linear rows over Q, solved exactly.
+bounded edge, lengths measured in units of the primitive edge direction;
+a two-ended type has only a point of its line.  Each marked point
+contributes the condition that its edge meets an affine subspace;
+projecting along the edge direction and the subspace span turns that
+into integer rows, built in one place, incidence_rows.  match_constraints
+solves them exactly over Q, and multiplicity reads the lattice index of
+the same rows.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .curves import edge_base_vertex, edge_dir, is_bounded, path_signs
 from .lattice import (cached_quotient_map, quotient_map, rank_int,
@@ -87,12 +91,6 @@ class MatchOutcome:
     solution: Solution | None = None
 
 
-def _span_contains(basis, v):
-    if not basis:
-        return False
-    return rank_int(list(basis) + [tuple(v)]) == len(basis)
-
-
 def _point_on_edge(t, sol, i):
     """Position of marked point i in Q^n."""
     eid = t.markings[i]
@@ -122,6 +120,38 @@ def _recover_param(u, basis, rhs):
     return res.particular[0]
 
 
+def incidence_rows(t, constraints):
+    """The incidence system of a marked type: (rows, rhs, parallel).
+
+    The unknowns are the root and the bounded lengths (the root alone
+    for a two-ended type, whose rows all vanish on its direction).
+    Marking i gives one row per quotient column of [u, *basis], u its
+    edge direction, applied to the position of the edge's base vertex
+    and to the offset.  parallel holds the markings whose u lies in the
+    span of their basis: those have n - dim columns, not n - 1 - dim.
+    """
+    n = t.n
+    nb = len(t.bounded)
+    sign = path_signs(t)
+    rows, rhs, parallel = [], [], set()
+    for i, c in enumerate(constraints):
+        eid = t.markings[i]
+        u = edge_dir(t, eid)
+        cols = tuple(zip(*cached_quotient_map([u, *c.basis], n,
+                                              quotient_map)))
+        if len(cols) == n - len(c.basis):
+            parallel.add(i)
+        s = () if t.degenerate else sign[edge_base_vertex(t, eid)]
+        for col in cols:
+            row = list(col) + [0] * nb
+            for b, sb in enumerate(s):
+                if sb:
+                    row[n + b] = sb * sum(map(mul, t.bounded[b][3], col))
+            rows.append(row)
+            rhs.append(sum(map(mul, c.offset, col)))
+    return rows, rhs, parallel
+
+
 def match_constraints(t, constraints):
     """Solve the incidence system of a type against the constraints.
 
@@ -130,7 +160,9 @@ def match_constraints(t, constraints):
     when no curve of this type meets the constraints, and "non-general"
     when the configuration is degenerate for this type (a positive
     dimensional family, or a solution on the cell boundary) and the
-    constraints should be re-sampled.
+    constraints should be re-sampled.  A two-ended type is a line with
+    no vertex, so its solution is unique up to translation along the
+    line, and its parameters have no sign to check.
     """
     if len(constraints) != len(t.markings):
         raise ValueError("one constraint per marking is required")
@@ -140,39 +172,15 @@ def match_constraints(t, constraints):
     if total != e + n - 3:
         raise ValueError("constraint codimensions do not sum to e+n-3")
 
-    if t.degenerate:
-        return _match_degenerate(t, constraints)
-
-    nb = len(t.bounded)
-    sign = path_signs(t)
-
-    rows = []
-    rhs = []
-    overdetermined = set()
-    for i, c in enumerate(constraints):
-        eid = t.markings[i]
-        u = edge_dir(t, eid)
-        if _span_contains(c.basis, u):
-            overdetermined.add(i)
-        w = cached_quotient_map([u, *c.basis], n, quotient_map)
-        ncols = len(w[0]) if w and len(w) else 0
-        v = edge_base_vertex(t, eid)
-        for col in range(ncols):
-            row = [w[j][col] for j in range(n)] + [0] * nb
-            for b in range(nb):
-                if sign[v][b]:
-                    ub = t.bounded[b][3]
-                    row[n + b] = sign[v][b] * sum(
-                        ub[j] * w[j][col] for j in range(n))
-            rows.append(row)
-            rhs.append(sum(c.offset[j] * w[j][col] for j in range(n)))
-
+    rows, rhs, parallel = incidence_rows(t, constraints)
     res = solve_rational(rows, rhs)
     if res.status == "infeasible":
         return MatchOutcome(NONE)
-    if res.status == "family":
+    # the rows of a two-ended type always vanish on its direction
+    if len(res.kernel) != (1 if t.degenerate else 0):
         return MatchOutcome(NON_GENERAL)
 
+    sign = path_signs(t)
     root = tuple(res.particular[:n])
     lengths = tuple(res.particular[n:])
     boundary = False
@@ -185,18 +193,18 @@ def match_constraints(t, constraints):
     params = []
     for i, c in enumerate(constraints):
         eid = t.markings[i]
-        if i in overdetermined:
+        if i in parallel:
             # the edge direction lies in the constraint span, so the
             # parameter is undetermined whenever the system is solvable
             return MatchOutcome(NON_GENERAL)
         u = edge_dir(t, eid)
-        v = edge_base_vertex(t, eid)
         pos = list(root)
-        for b in range(nb):
-            if sign[v][b]:
-                ub = t.bounded[b][3]
-                for j in range(n):
-                    pos[j] += sign[v][b] * lengths[b] * ub[j]
+        if not t.degenerate:
+            for b, sb in enumerate(sign[edge_base_vertex(t, eid)]):
+                if sb:
+                    ub = t.bounded[b][3]
+                    for j in range(n):
+                        pos[j] += sb * lengths[b] * ub[j]
         diff = [Fraction(c.offset[j]) - pos[j] for j in range(n)]
         tp = _recover_param(u, c.basis, diff)
         if tp is None:
@@ -207,7 +215,7 @@ def match_constraints(t, constraints):
                 boundary = True
             elif tp < 0 or tp > top:
                 return MatchOutcome(NONE)
-        else:
+        elif not t.degenerate:
             if tp == 0:
                 boundary = True
             elif tp < 0:
@@ -217,47 +225,6 @@ def match_constraints(t, constraints):
     if boundary:
         return MatchOutcome(NON_GENERAL)
     return MatchOutcome(UNIQUE, Solution(root, lengths, tuple(params)))
-
-
-def _match_degenerate(t, constraints):
-    """Line x + Q*u against the constraints; the line itself has no
-    moduli beyond translation, so the system is solved modulo u."""
-    n = t.n
-    u = t.ends[0][2]
-    rows = []
-    rhs = []
-    overdetermined = set()
-    for i, c in enumerate(constraints):
-        if _span_contains(c.basis, u):
-            overdetermined.add(i)
-        w = cached_quotient_map([u, *c.basis], n, quotient_map)
-        ncols = len(w[0]) if w and len(w) else 0
-        for col in range(ncols):
-            rows.append([w[j][col] for j in range(n)])
-            rhs.append(sum(c.offset[j] * w[j][col] for j in range(n)))
-    res = solve_rational(rows, rhs)
-    if res.status == "infeasible":
-        return MatchOutcome(NONE)
-    if res.status == "unique":
-        # the translation along u should always stay free
-        return MatchOutcome(NON_GENERAL)
-    if len(res.kernel) != 1:
-        return MatchOutcome(NON_GENERAL)
-    kv = res.kernel[0]
-    # kernel must be the line direction itself
-    if rank_int([tuple(kv), tuple(u)]) != 1:
-        return MatchOutcome(NON_GENERAL)
-    root = tuple(res.particular)
-    params = []
-    for i, c in enumerate(constraints):
-        if i in overdetermined:
-            return MatchOutcome(NON_GENERAL)
-        diff = [Fraction(c.offset[j]) - root[j] for j in range(n)]
-        tp = _recover_param(u, c.basis, diff)
-        if tp is None:
-            return MatchOutcome(NON_GENERAL)
-        params.append(tp)
-    return MatchOutcome(UNIQUE, Solution(root, (), tuple(params)))
 
 
 def verify_general(t, sol, constraints):
@@ -292,8 +259,9 @@ def verify_general(t, sol, constraints):
     return (not problems, problems)
 
 
-def generate_constraints(n, bases, seed, bound=1000, retry=0):
-    """Sample integer offsets for the given constraint direction spans.
+def generate_constraints(n, bases, seed, bound, retry=0):
+    """Sample integer offsets in [-bound, bound]^n for the given
+    constraint direction spans (Problem.bound holds the default bound).
 
     Deterministic in (seed, retry): the stream is keyed by the string
     "seed:retry", so re-sampling after a non-general hit advances the

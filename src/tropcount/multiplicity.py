@@ -1,20 +1,24 @@
 """Lattice-index multiplicity of a matched curve.
 
-The count weights every solution by the absolute determinant of the
-evaluation-and-edge map on vertex positions, corrected by per-marking
-lattice indices and the bounded edge weights.  In the plane this product
-reduces to the classical vertex-determinant multiplicity, which is
-checked independently.
+The count weights every solution by the index of the evaluation map on
+the lattice of the type's moduli (the root and the integer bounded
+lengths), read off matching.incidence_rows, the rows the match solves,
+and corrected by per-marking lattice indices and bounded edge weights.
+It equals the index of the map on vertex positions with a block of
+edge-class rows per bounded edge, as those rows map the positions onto
+Z^((n-1)*nb) with kernel exactly the root plus integer lengths.  In the
+plane the product is the classical vertex-determinant multiplicity,
+which is checked independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curves import edge_base_vertex, edge_dir, edge_weight
-from .lattice import (bareiss_det, cached_quotient_map, int_matrix_inverse,
-                      quotient_map, rank_int, saturation_index,
-                      smith_normal_form)
+from .curves import edge_dir, edge_weight
+# quotient_map is unused here, but perfbench's tracer patches it by name
+from .lattice import bareiss_det, quotient_map, rank_int, saturation_index
+from .matching import incidence_rows
 
 
 @dataclass(frozen=True)
@@ -33,63 +37,24 @@ class Multiplicity:
 
 
 def d_index(t, constraints):
-    """Index of the map sending vertex positions to edge classes.
-
-    Domain: one copy of Z^n per vertex.  Rows: for each bounded edge the
-    difference of its endpoints in Z^n / Z(dir); for each marking the
-    base vertex in Z^n / saturation(Z(dir) + span(basis)).  Zero
-    dimensionality of the count makes the matrix square of size
-    n * vertices.  Returns |det|; 0 marks a non-general configuration.
+    """Index of the evaluation map of a type with vertices: |det| of its
+    incidence rows over the root and the bounded lengths.  Zero
+    dimensionality of the count makes the rows square.  Returns |det|;
+    0 marks a non-general configuration.
     """
     if t.degenerate:
         raise ValueError("d_index needs a type with at least one vertex")
-    n = t.n
-    nv = t.vertices
-    cols = n * nv
-    rows = []
-    for tail, head, w, u in t.bounded:
-        wq = cached_quotient_map([u], n, quotient_map)
-        ncols = len(wq[0]) if wq and len(wq) else 0
-        for col in range(ncols):
-            row = [0] * cols
-            for j in range(n):
-                row[head * n + j] += wq[j][col]
-                row[tail * n + j] -= wq[j][col]
-            rows.append(row)
-    for i, c in enumerate(constraints):
-        eid = t.markings[i]
-        u = edge_dir(t, eid)
-        v = edge_base_vertex(t, eid)
-        wq = cached_quotient_map([u, *c.basis], n, quotient_map)
-        ncols = len(wq[0]) if wq and len(wq) else 0
-        for col in range(ncols):
-            row = [0] * cols
-            for j in range(n):
-                row[v * n + j] += wq[j][col]
-            rows.append(row)
-    if len(rows) != cols:
+    rows = incidence_rows(t, constraints)[0]
+    if len(rows) != t.n + len(t.bounded):
         raise ValueError("index map is not square; dimensions are off")
     return abs(bareiss_det(rows))
 
 
 def _line_index(t, constraints):
-    """Degenerate analogue of d_index: the translation classes of the
-    line modulo its own direction, evaluated against each constraint."""
-    n = t.n
-    u = t.ends[0][2]
-    _, _, right = smith_normal_form([list(u)])
-    rinv = int_matrix_inverse(right)
-    complement = [tuple(rinv[i]) for i in range(1, n)]
-    rows = []
-    for i, c in enumerate(constraints):
-        wq = cached_quotient_map([u, *c.basis], n, quotient_map)
-        ncols = len(wq[0]) if wq and len(wq) else 0
-        for col in range(ncols):
-            rows.append([sum(cv[j] * wq[j][col] for j in range(n))
-                         for cv in complement])
-    if len(rows) != n - 1:
-        raise ValueError("index map is not square; dimensions are off")
-    return abs(bareiss_det(rows))
+    """Two-ended analogue of d_index: the index of the line's incidence
+    rows in their saturation, or 0 when they are dependent."""
+    rows = incidence_rows(t, constraints)[0]
+    return saturation_index(rows) if rank_int(rows) == len(rows) else 0
 
 
 def delta_index(t, i, constraint):

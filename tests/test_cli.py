@@ -99,19 +99,32 @@ def test_count_long_gate(tmp_path):
     ('constraints={"kind": "generate", "bases": [[], []], "bound": 0}',
      "with bound 0"),
     ("constraints.offsets=[[0, 0], [0, 0]]", "fixed offsets"),
+    ('constraints={"kind": "generate", "bases": [[], []], "bound": "x"}',
+     "constraints.bound"),
+    ('constraints={"kind": "generate", "bases": [[], []], "bound": 2.5}',
+     "constraints.bound"),
+    ("constraints.offsets=[[0.5, 0], [5, 7]]", "constraints.offsets[0][0]"),
+    ("constraints.bases=[[], [[1, 0.5]]]", "constraints.bases[1][0][1]"),
+    ('degree_source={"kind": "coarse", "coarse_degrees": "x"}',
+     "degree_source.coarse_degrees"),
+    ('degree_source.degrees=[{"entries": [[[-1, 0], "a"], [[0, -1], 1], '
+     '[[1, 1], 1]]}]', "degree_source.degrees[0].entries[0][1]"),
+    ('<{"rank": 2,\n "x": }', "bad.json:2:7: not JSON"),
+    ("--problem=no-such-problem.json", "cannot read no-such-problem.json"),
     ("--workers=0", "workers must be a positive integer"),
     ("--workers=-3", "workers must be a positive integer"),
 ])
 def test_count_bad_problem_exits_2(tmp_path, capsys, edit, named):
     """edit names a field to drop, sets the field at path with
-    path=JSON, or passes a count option with --option=value."""
+    path=JSON, replaces the whole file with the text after a leading <,
+    or passes a count option with --option=value."""
     data = engine.problem_to_json(engine.Problem(
         n=2, degrees=(degrees.plane_degree(1),), constraint_bases=((), ()),
         offsets=((0, 0), (5, 7))))
     options = []
     if edit.startswith("--"):
         options = edit.split("=", 1)
-    else:
+    elif not edit.startswith("<"):
         path, _, value = edit.partition("=")
         *parents, last = path.split(".")
         obj = data
@@ -122,6 +135,8 @@ def test_count_bad_problem_exits_2(tmp_path, capsys, edit, named):
         else:
             del obj[last]
     path = write(tmp_path / "bad.json", data)
+    if edit.startswith("<"):
+        (tmp_path / "bad.json").write_text(edit[1:])
     assert cli.main(["count", "--problem", path, *options]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and named in err

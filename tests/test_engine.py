@@ -183,14 +183,26 @@ def test_retry_starvation_names_bound_attempts_degree_and_type():
         engine.count_invariant(fixed)
 
 
+def loads_toric(module):
+    """Whether importing tropcount.<module> in a fresh interpreter loads
+    tropcount.toric."""
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, tropcount.%s; "
+         "print('tropcount.toric' in sys.modules)" % module],
+        capture_output=True, text=True, check=True)
+    return out.stdout.strip() == "True"
+
+
 def test_engine_does_not_import_toric():
     """The count path reaches the facet tables without loading the
     simplex and fan code, so pool workers do not carry it."""
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, tropcount.engine; "
-         "print('tropcount.toric' in sys.modules)"],
-        capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert not loads_toric("engine")
+
+
+def test_cli_does_not_import_toric():
+    """The command line loads toric only to verify a certificate, so a
+    count started from it does not pay for the import."""
+    assert not loads_toric("cli")
 
 
 def test_count_report_fields():
