@@ -55,7 +55,13 @@ def _cmd_count(args):
 
 
 def _cmd_types(args):
-    deg = engine.degree_from_json(_load(args.degree))
+    try:
+        if args.marks < 0:
+            raise ValueError("--marks must be >= 0, not %d" % args.marks)
+        deg = engine.degree_from_json(_load(args.degree))
+    except ValueError as exc:
+        print("tropcount types: %s" % exc, file=sys.stderr)
+        return 2
     out = [engine.comb_type_to_json(t)
            for t in curves.enumerate_types(deg, args.marks)]
     _emit({"degree": engine.degree_to_json(deg), "marks": args.marks,
@@ -64,12 +70,13 @@ def _cmd_types(args):
 
 
 def _cmd_constraints(args):
-    data = _load(args.spec)
-    bases = tuple(tuple(tuple(v) for v in basis)
-                  for basis in data["bases"])
-    cons = matching.generate_constraints(
-        data["rank"], bases, args.seed,
-        bound=data.get("bound", engine.Problem.bound))
+    try:
+        rank, bases, bound = engine.constraint_spec_from_json(
+            _load(args.spec))
+    except ValueError as exc:
+        print("tropcount constraints: %s" % exc, file=sys.stderr)
+        return 2
+    cons = matching.generate_constraints(rank, bases, args.seed, bound)
     _emit({"constraints": [{"offset": list(c.offset),
                             "basis": [list(v) for v in c.basis]}
                            for c in cons]}, args.out)

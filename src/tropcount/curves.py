@@ -117,16 +117,6 @@ def edge_base_vertex(t, eid):
     return t.ends[eid - len(t.bounded)][0]
 
 
-def weight(t):
-    """Product of bounded edge weights and marked edge weights."""
-    w = 1
-    for b in t.bounded:
-        w *= b[2]
-    for m in t.markings:
-        w *= edge_weight(t, m)
-    return w
-
-
 def check_balanced(t):
     """Verify the balancing condition at every vertex."""
     if t.degenerate:

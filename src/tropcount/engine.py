@@ -21,13 +21,13 @@ from operator import mul
 
 from . import _kernel
 from . import degrees as degmod
-from .curves import (CombType, Degree, edge_base_vertex, edge_count,
-                     edge_dir, enumerate_types, make_degree, orbit_min,
-                     path_signs, unmarked_types)
+from .curves import (CombType, Degree, edge_count, enumerate_types,
+                     make_degree, orbit_min, path_signs, unmarked_types)
 from .degrees import GC3_FACETS, OCTAHEDRON_FACETS
-from .lattice import cached_quotient_map, quotient_map
+# quotient_map is unused here, but perfbench's tracer patches it by name
+from .lattice import quotient_map
 from .matching import (NON_GENERAL, UNIQUE, AffineConstraint, check_basis,
-                       generate_constraints, match_constraints,
+                       edge_rows, generate_constraints, match_constraints,
                        verify_general)
 from .multiplicity import total_multiplicity
 
@@ -109,65 +109,44 @@ def _constraints_for(problem, seed, retry):
 
 
 def _kernel_inputs(comb, constraints):
-    """Search inputs of one type: per group of constraints sharing a
-    basis, each edge's coefficient block and right-hand sides in the
-    quotient by the edge direction and the basis, and the data that
-    recovers the parameter along the edge (see _kernel.pure).  Built apart
-    from matching.incidence_rows, which re-verifies every candidate."""
+    """Search inputs of one type (see _kernel.pure): per group of
+    constraints sharing a basis, each edge's matching.edge_rows split
+    into its coefficient block, the block's right-hand sides under each
+    offset, and either the data that recovers the parameter along the
+    edge or, for an edge parallel to the span, the one row beyond the
+    block."""
     n = comb.n
     nb = len(comb.bounded)
+    ne = edge_count(comb)
     sign = path_signs(comb)
-    edges = []
-    for eid in range(edge_count(comb)):
-        s = sign[edge_base_vertex(comb, eid)]
-        # the bounded edges on the path from the root, with their signs
-        path = [(n + b, s[b], comb.bounded[b][3])
-                for b in range(nb) if s[b]]
-        edges.append((edge_dir(comb, eid), path))
-    pad = [0] * nb
-
-    def unknowns(col, path):
-        """Coefficients of the root and the lengths in one quotient
-        coordinate col of a point on an edge."""
-        out = list(col) + pad
-        for i, s, ub in path:
-            out[i] = s * sum(map(mul, ub, col))
-        return tuple(out)
-
     groups = []
     for basis, members in _groups(constraints):
         offsets = [constraints[i].offset for i in members]
         r = n - 1 - len(basis)
-        span = tuple(zip(*cached_quotient_map(basis, n, quotient_map)))
+
+        def values(row):
+            # the right-hand side of row under each offset of the group
+            return tuple([sum(map(mul, off, row)) for off in offsets])
+
         blocks, rhs, tdata, pj, extra = [], [], [], [], []
-        for u, path in edges:
-            cols = tuple(zip(*cached_quotient_map([u, *basis], n,
-                                                  quotient_map)))
-            blocks.append(tuple([unknowns(col, path) for col in cols[:r]]))
-            rhs.append(tuple([tuple([sum(map(mul, off, col))
-                                     for col in cols[:r]])
+        for eid in range(ne):
+            rows, param = edge_rows(comb, sign, eid, basis)
+            blocks.append(rows[:r])
+            rhs.append(tuple([tuple([sum(map(mul, off, row))
+                                     for row in rows[:r]])
                               for off in offsets]))
-            if len(cols) > r:
+            if param is None:
                 # u lies in the span: one row more, and no parameter
-                col = cols[r]
-                extra.append((unknowns(col, path),
-                              tuple([sum(map(mul, off, col))
-                                     for off in offsets])))
+                extra.append((rows[r], values(rows[r])))
                 tdata.append(None)
                 pj.append(None)
-                continue
-            # the parameter, read in the first nonzero coordinate of u
-            # in the quotient by the basis
-            for col in span:
-                uj = sum(map(mul, u, col))
-                if uj:
-                    break
-            tdata.append((uj, unknowns(col, path)))
-            pj.append(tuple([sum(map(mul, off, col)) for off in offsets]))
-            extra.append(None)
+            else:
+                tdata.append(param)
+                pj.append(values(param[1]))
+                extra.append(None)
         groups.append((tuple(members), tuple(blocks), tuple(rhs),
                        tuple(tdata), tuple(pj), tuple(extra)))
-    lbounded = tuple([e if e < nb else -1 for e in range(len(edges))])
+    lbounded = tuple([e if e < nb else -1 for e in range(ne)])
     return n, nb, lbounded, tuple(groups)
 
 
@@ -489,6 +468,40 @@ def _degrees_from_source(src):
     raise ValueError("unknown degree_source kind %r" % (kind,))
 
 
+def _bases_from_json(obj, rank, where):
+    """The constraint bases obj["bases"], each a saturated independent
+    set of integer vectors of length rank; a ValueError names the field
+    at fault, under the prefix where."""
+    bases = []
+    for i, basis in enumerate(_list(_field(obj, "bases", where),
+                                    where + ".bases")):
+        at = "%s.bases[%d]" % (where, i)
+        bases.append(tuple(_ints(v, "%s[%d]" % (at, j))
+                           for j, v in enumerate(_list(basis, at))))
+        try:
+            check_basis(rank, bases[-1])
+        except ValueError as exc:
+            raise ValueError("%s: %s" % (at, exc)) from None
+    return tuple(bases)
+
+
+def _bound_from_json(obj, where):
+    """obj["bound"], or Problem.bound when it is absent or null."""
+    if obj.get("bound") is None:
+        return Problem.bound
+    # 0 is legal: the offsets are all zero and the retries starve
+    return _int(obj["bound"], where + ".bound", 0)
+
+
+def constraint_spec_from_json(data):
+    """(rank, bases, bound) of a constraint spec {rank, bases, bound},
+    read as problem_from_json reads them; a ValueError names the field
+    at fault under the prefix spec."""
+    rank = _int(_field(data, "rank", "spec"), "spec.rank", 1)
+    return rank, _bases_from_json(data, rank, "spec"), \
+        _bound_from_json(data, "spec")
+
+
 def problem_from_json(data):
     """Build a Problem from the schema {rank, degree_source, constraints}.
 
@@ -507,17 +520,7 @@ def problem_from_json(data):
     rank = _int(_field(data, "rank", "problem"), "rank", 1)
     source = _field(data, "degree_source", "problem")
     cons = _field(data, "constraints", "problem")
-    bases = []
-    for i, basis in enumerate(_list(_field(cons, "bases", "constraints"),
-                                    "constraints.bases")):
-        at = "constraints.bases[%d]" % i
-        bases.append(tuple(_ints(v, "%s[%d]" % (at, j))
-                           for j, v in enumerate(_list(basis, at))))
-        try:
-            check_basis(rank, bases[-1])
-        except ValueError as exc:
-            raise ValueError("%s: %s" % (at, exc)) from None
-    bases = tuple(bases)
+    bases = _bases_from_json(cons, rank, "constraints")
     kind = _field(cons, "kind", "constraints")
     offsets = None
     if kind == "explicit":
@@ -546,14 +549,10 @@ def problem_from_json(data):
         if not isinstance(options.get(key, False), bool):
             raise ValueError("options.%s must be true or false, not %r"
                              % (key, options[key]))
-    kwargs = {}
-    if cons.get("bound") is not None:
-        # 0 is legal: the offsets are all zero and the retries starve
-        kwargs["bound"] = _int(cons["bound"], "constraints.bound", 0)
     return Problem(n=rank, degrees=degrees, constraint_bases=bases,
                    offsets=offsets,
                    odd_insertions=options.get("odd_insertions", False),
-                   **kwargs)
+                   bound=_bound_from_json(cons, "constraints"))
 
 
 def problem_to_json(problem):

@@ -5,7 +5,8 @@ fraction-free Gauss-Jordan (Bareiss) reduction over Python integers,
 after each rational row is scaled to integers by the lcm of its
 denominators.  Rank, determinant, adjugate, inverse and linear solve
 all read its result, and Fraction appears only in the values that
-solve_rational returns.  Smith normal form gives quotient maps and
+solve_rational returns.  Smith normal form gives quotient maps, which
+matching memoizes per edge direction and constraint span, and
 saturation indices.  No floating point is used anywhere; equality
 decisions (membership, genericity, indices) must be exact.
 """
@@ -250,26 +251,6 @@ def quotient_map(vectors, n):
         return [[] for _ in range(n)]
     _, _, right = smith_normal_form(indep)
     return [[right[i][j] for j in range(k, n)] for i in range(n)]
-
-
-_quotient_maps = {}
-
-
-def cached_quotient_map(vectors, n, compute):
-    """compute(vectors, n), a quotient_map, memoized on (tuple of
-    vectors, n).
-
-    One result is shared by every caller, so its rows are tuples; the
-    callers only read them.  A caller passes its own module's name for
-    quotient_map as compute, so that a wrapper installed on that name,
-    such as the layer tracer in perfbench, sees only the misses: the
-    calls that do lattice work.
-    """
-    key = (tuple(map(tuple, vectors)), n)
-    w = _quotient_maps.get(key)
-    if w is None:
-        w = _quotient_maps[key] = tuple(map(tuple, compute(vectors, n)))
-    return w
 
 
 @dataclass(frozen=True)

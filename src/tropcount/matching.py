@@ -5,9 +5,11 @@ bounded edge, lengths measured in units of the primitive edge direction;
 a two-ended type has only a point of its line.  Each marked point
 contributes the condition that its edge meets an affine subspace;
 projecting along the edge direction and the subspace span turns that
-into integer rows, built in one place, incidence_rows.  match_constraints
-solves them exactly over Q, and multiplicity reads the lattice index of
-the same rows.
+into integer rows, built in one place, edge_rows, together with the row
+that reads the point's parameter along its edge.  The search inputs of
+the engine, match_constraints (which solves the rows exactly over Q)
+and multiplicity (which reads their lattice index) all take their rows
+from it.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from fractions import Fraction
 from operator import mul
 
 from .curves import edge_base_vertex, edge_dir, is_bounded, path_signs
-from .lattice import (cached_quotient_map, quotient_map, rank_int,
-                      saturation_index, solve_rational)
+from .lattice import quotient_map, rank_int, saturation_index, solve_rational
 
 NONE = "none"
 UNIQUE = "unique"
@@ -109,47 +110,76 @@ def _point_on_edge(t, sol, i):
     return tuple(pos[j] + tp * u[j] for j in range(t.n))
 
 
-def _recover_param(u, basis, rhs):
-    """Write rhs as t*u + span(basis); unique t or None when ambiguous."""
-    n = len(u)
-    cols = [tuple(u)] + [tuple(b) for b in basis]
-    a = [[c[j] for c in cols] for j in range(n)]
-    res = solve_rational(a, rhs)
-    if res.status != "unique":
-        return None
-    return res.particular[0]
+_edge_quotients = {}
+
+
+def _edge_quotient(u, basis):
+    """(cols, param) of an edge direction u against a constraint basis,
+    memoized on (u, basis), which holds no offsets: cols are the columns
+    of quotient_map([u, *basis]), param is (u . col, col) for the first
+    column col of quotient_map(basis) that u meets, or None when u lies
+    in the span.  A miss calls quotient_map by this module's name, so a
+    wrapper on that name (perfbench's tracer) sees only the lattice work.
+    """
+    out = _edge_quotients.get((u, basis))
+    if out is None:
+        n = len(u)
+        cols = tuple(zip(*quotient_map([u, *basis], n)))
+        param = None
+        if len(cols) < n - len(basis):
+            for col in zip(*quotient_map(basis, n)):
+                uj = sum(map(mul, u, col))
+                if uj:
+                    param = (uj, col)
+                    break
+        out = _edge_quotients[(u, basis)] = (cols, param)
+    return out
+
+
+def edge_rows(t, sign, eid, basis):
+    """(rows, param) of edge eid of type t against a constraint basis,
+    sign = path_signs(t): one row per quotient column of [u, *basis], u
+    the edge's direction, over the root and the bounded lengths of the
+    edge's base point.  A row starts with its column, so its right-hand
+    side is offset . row.  param = (uj, hrow) gives the parameter along
+    the edge as (offset . hrow - hrow . x) / uj, x the root and lengths;
+    it is None when u lies in the span, which adds one row.
+    """
+    n = t.n
+    cols, param = _edge_quotient(edge_dir(t, eid), basis)
+    path = () if t.degenerate else [
+        (n + b, s, t.bounded[b][3])
+        for b, s in enumerate(sign[edge_base_vertex(t, eid)]) if s]
+    pad = [0] * len(t.bounded)
+
+    def row(col):
+        out = list(col) + pad
+        for i, s, ub in path:
+            out[i] = s * sum(map(mul, ub, col))
+        return tuple(out)
+
+    if param is not None:
+        param = (param[0], row(param[1]))
+    return tuple([row(col) for col in cols]), param
 
 
 def incidence_rows(t, constraints):
-    """The incidence system of a marked type: (rows, rhs, parallel).
+    """The incidence system of a marked type: (rows, rhs, params).
 
     The unknowns are the root and the bounded lengths (the root alone
     for a two-ended type, whose rows all vanish on its direction).
-    Marking i gives one row per quotient column of [u, *basis], u its
-    edge direction, applied to the position of the edge's base vertex
-    and to the offset.  parallel holds the markings whose u lies in the
-    span of their basis: those have n - dim columns, not n - 1 - dim.
+    Marking i gives the edge_rows of its edge against its constraint's
+    basis, with right-hand sides from its offset, and params[i] is the
+    param of that edge (None when the edge is parallel to the span).
     """
-    n = t.n
-    nb = len(t.bounded)
     sign = path_signs(t)
-    rows, rhs, parallel = [], [], set()
+    rows, rhs, params = [], [], []
     for i, c in enumerate(constraints):
-        eid = t.markings[i]
-        u = edge_dir(t, eid)
-        cols = tuple(zip(*cached_quotient_map([u, *c.basis], n,
-                                              quotient_map)))
-        if len(cols) == n - len(c.basis):
-            parallel.add(i)
-        s = () if t.degenerate else sign[edge_base_vertex(t, eid)]
-        for col in cols:
-            row = list(col) + [0] * nb
-            for b, sb in enumerate(s):
-                if sb:
-                    row[n + b] = sb * sum(map(mul, t.bounded[b][3], col))
-            rows.append(row)
-            rhs.append(sum(map(mul, c.offset, col)))
-    return rows, rhs, parallel
+        r, param = edge_rows(t, sign, t.markings[i], c.basis)
+        rows += r
+        rhs += [sum(map(mul, c.offset, row)) for row in r]
+        params.append(param)
+    return rows, rhs, params
 
 
 def match_constraints(t, constraints):
@@ -172,7 +202,7 @@ def match_constraints(t, constraints):
     if total != e + n - 3:
         raise ValueError("constraint codimensions do not sum to e+n-3")
 
-    rows, rhs, parallel = incidence_rows(t, constraints)
+    rows, rhs, params = incidence_rows(t, constraints)
     res = solve_rational(rows, rhs)
     if res.status == "infeasible":
         return MatchOutcome(NONE)
@@ -180,9 +210,8 @@ def match_constraints(t, constraints):
     if len(res.kernel) != (1 if t.degenerate else 0):
         return MatchOutcome(NON_GENERAL)
 
-    sign = path_signs(t)
-    root = tuple(res.particular[:n])
-    lengths = tuple(res.particular[n:])
+    x = res.particular
+    lengths = tuple(x[n:])
     boundary = False
     for q in lengths:
         if q == 0:
@@ -190,25 +219,15 @@ def match_constraints(t, constraints):
         elif q < 0:
             return MatchOutcome(NONE)
 
-    params = []
-    for i, c in enumerate(constraints):
-        eid = t.markings[i]
-        if i in parallel:
+    tps = []
+    for i, (c, param) in enumerate(zip(constraints, params)):
+        if param is None:
             # the edge direction lies in the constraint span, so the
             # parameter is undetermined whenever the system is solvable
             return MatchOutcome(NON_GENERAL)
-        u = edge_dir(t, eid)
-        pos = list(root)
-        if not t.degenerate:
-            for b, sb in enumerate(sign[edge_base_vertex(t, eid)]):
-                if sb:
-                    ub = t.bounded[b][3]
-                    for j in range(n):
-                        pos[j] += sb * lengths[b] * ub[j]
-        diff = [Fraction(c.offset[j]) - pos[j] for j in range(n)]
-        tp = _recover_param(u, c.basis, diff)
-        if tp is None:
-            return MatchOutcome(NON_GENERAL)
+        uj, hrow = param
+        tp = (sum(map(mul, c.offset, hrow)) - sum(map(mul, hrow, x))) / uj
+        eid = t.markings[i]
         if is_bounded(t, eid):
             top = lengths[eid]
             if tp == 0 or tp == top:
@@ -220,11 +239,11 @@ def match_constraints(t, constraints):
                 boundary = True
             elif tp < 0:
                 return MatchOutcome(NONE)
-        params.append(tp)
+        tps.append(tp)
 
     if boundary:
         return MatchOutcome(NON_GENERAL)
-    return MatchOutcome(UNIQUE, Solution(root, lengths, tuple(params)))
+    return MatchOutcome(UNIQUE, Solution(tuple(x[:n]), lengths, tuple(tps)))
 
 
 def verify_general(t, sol, constraints):

@@ -2,11 +2,12 @@
 
 The count weights every solution by the index of the evaluation map on
 the lattice of the type's moduli (the root and the integer bounded
-lengths), read off matching.incidence_rows, the rows the match solves,
-and corrected by per-marking lattice indices and bounded edge weights.
-It equals the index of the map on vertex positions with a block of
-edge-class rows per bounded edge, as those rows map the positions onto
-Z^((n-1)*nb) with kernel exactly the root plus integer lengths.  In the
+lengths), read off matching.incidence_rows, the edge_rows that the
+search was built from and the match solves, and corrected by
+per-marking lattice indices and bounded edge weights.  It equals the
+index of the map on vertex positions with a block of edge-class rows
+per bounded edge, as those rows map the positions onto Z^((n-1)*nb)
+with kernel exactly the root plus integer lengths.  In the
 plane the product is the classical vertex-determinant multiplicity,
 which is checked independently.
 """

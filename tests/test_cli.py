@@ -224,6 +224,39 @@ def test_constraints_deterministic(tmp_path):
     assert all(abs(x) <= 9 for c_ in cons for x in c_["offset"])
 
 
+LINE = '{"entries": [[[-1, 0], 1], [[0, -1], 1], [[1, 1], 1]]}'
+
+
+@pytest.mark.parametrize("args, named", [
+    ("types --degree missing.json --marks 0", "cannot read missing.json"),
+    ("types --degree <[] --marks 0", "degree must be a JSON object"),
+    ('types --degree <{"entries":3} --marks 0', "degree.entries"),
+    ("types --degree <%s --marks -1" % LINE.replace(" ", ""), "--marks"),
+    ("constraints --spec missing.json", "cannot read missing.json"),
+    ("constraints --spec <{", "input.json:1:2: not JSON"),
+    ('constraints --spec <{"rank":3}', "spec is missing 'bases'"),
+    ('constraints --spec <{"bases":[]}', "spec is missing 'rank'"),
+    ('constraints --spec <{"rank":"3","bases":[]}', "spec.rank"),
+    ('constraints --spec <{"rank":3,"bases":[[[1,0]]]}', "spec.bases[0]"),
+    ('constraints --spec <{"rank":3,"bases":[[[1,0.5,0]]]}',
+     "spec.bases[0][0][1]"),
+    ('constraints --spec <{"rank":3,"bases":[],"bound":-1}', "spec.bound"),
+])
+def test_types_and_constraints_bad_input_exits_2(tmp_path, monkeypatch,
+                                                 capsys, args, named):
+    """An argument <text stands for a file input.json holding text."""
+    monkeypatch.chdir(tmp_path)
+    argv = args.split()
+    for i, arg in enumerate(argv):
+        if arg.startswith("<"):
+            (tmp_path / "input.json").write_text(arg[1:])
+            argv[i] = "input.json"
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err
+    assert err.startswith("tropcount %s: " % argv[0])
+
+
 def test_oracle_prints_value(capsys):
     assert cli.main(["oracle", "--plane-degree", "3"]) == 0
     assert capsys.readouterr().out.strip() == "12"

@@ -171,16 +171,6 @@ def test_enumerate_types_markings():
     assert len(marked) <= raw
 
 
-def test_weight_product():
-    deg = curves.make_degree([((1, 1), 1), ((1, -1), 1), ((-1, 0), 2)])
-    ((t, _),) = curves.unmarked_types(deg)
-    assert curves.weight(t) == 1  # no bounded edges, no markings
-    t2 = curves.CombType(n=t.n, vertices=t.vertices, bounded=t.bounded,
-                         ends=t.ends, markings=(curves.edge_count(t) - 1,))
-    ws = [curves.edge_weight(t2, m) for m in t2.markings]
-    assert curves.weight(t2) == ws[0]
-
-
 def test_path_signs_relation():
     deg = degrees.plane_degree(2)
     for t, _ in curves.unmarked_types(deg):

@@ -1,13 +1,16 @@
 """Counting engine: axioms, oracle, JSON schemas, lanes, regressions."""
 
+import importlib.util
 import itertools
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +18,10 @@ from hypothesis import strategies as st
 
 from tropcount import _kernel, curves, degrees, engine, matching, toric
 from tropcount._kernel import pure
-from tropcount.matching import (NON_GENERAL, UNIQUE, AffineConstraint,
+from tropcount.lattice import bareiss_det, saturation_index, solve_rational
+from tropcount.matching import (NON_GENERAL, NONE, UNIQUE, AffineConstraint,
                                 match_constraints, verify_general)
-from tropcount.multiplicity import total_multiplicity
+from tropcount.multiplicity import Multiplicity
 
 
 def octahedron_set(a):
@@ -203,6 +207,27 @@ def test_cli_does_not_import_toric():
     """The command line loads toric only to verify a certificate, so a
     count started from it does not pay for the import."""
     assert not loads_toric("cli")
+
+
+def test_every_trace_target_exists():
+    """perfbench's layer tracer wraps package names, some of them (the
+    quotient_map of engine and multiplicity) imported only for it: it
+    must find every one, and put every original back."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    t = tracer.Tracer()
+    try:
+        t.install()
+        patched = list(t._patched)
+    finally:
+        t.uninstall()
+    names = {(module.__name__, name) for module, name, _ in patched}
+    for module in ("engine", "matching", "multiplicity"):
+        assert ("tropcount." + module, "quotient_map") in names
+    assert all(getattr(module, name) is orig
+               for module, name, orig in patched)
 
 
 def test_count_report_fields():
@@ -428,10 +453,66 @@ def test_each_genericity_retry_is_logged(caplog, workers):
                                "degree %s at type {" % (retry, deg))
 
 
+def solve_in_positions(t, constraints):
+    """(status, solution, multiplicity) of a marked type with vertices,
+    solved apart from the incidence rows: the unknowns are the root, the
+    bounded lengths, each marked point's parameter along its edge and
+    the coefficients of its constraint's span, with one equation per
+    coordinate per marking,
+        root + sum_b sign_b * length_b * u_b + param * u = offset + span.
+    The system is square when the codimensions sum to e + n - 3.  Its
+    |det| is d_index times the index of each [u, *basis] in its
+    saturation, so the multiplicity needs no incidence rows either."""
+    n, nb, l = t.n, len(t.bounded), len(constraints)
+    sign = curves.path_signs(t)
+    width = n + nb + l + sum(len(c.basis) for c in constraints)
+    a, b, col = [], [], n + nb + l
+    for i, c in enumerate(constraints):
+        eid = t.markings[i]
+        u = curves.edge_dir(t, eid)
+        s = sign[curves.edge_base_vertex(t, eid)]
+        for j in range(n):
+            row = [0] * width
+            row[j] = 1
+            for k, (_, _, _, uk) in enumerate(t.bounded):
+                row[n + k] = s[k] * uk[j]
+            row[n + nb + i] = u[j]
+            for k, v in enumerate(c.basis):
+                row[col + k] = -v[j]
+            a.append(row)
+            b.append(c.offset[j])
+        col += len(c.basis)
+    assert len(a) == width
+    res = solve_rational(a, b)
+    if res.status == "infeasible":
+        return NONE, None, None
+    if res.status != "unique":
+        return NON_GENERAL, None, None
+    x = res.particular
+    lengths, params = x[n:n + nb], x[n + nb:n + nb + l]
+    tops = [lengths[e] if curves.is_bounded(t, e) else None
+            for e in t.markings]
+    if min(lengths + params) < 0 or any(
+            top is not None and p > top for p, top in zip(params, tops)):
+        return NONE, None, None
+    if 0 in lengths + params or any(p == top for p, top in zip(params, tops)):
+        return NON_GENERAL, None, None
+    sats = [saturation_index([curves.edge_dir(t, e), *c.basis])
+            for e, c in zip(t.markings, constraints)]
+    d, rem = divmod(abs(bareiss_det(a)), math.prod(sats))
+    assert rem == 0
+    deltas = tuple(curves.edge_weight(t, e) * sat
+                   for e, sat in zip(t.markings, sats))
+    weight = math.prod(w for _, _, w, _ in t.bounded)
+    mult = Multiplicity(weight, d, deltas, weight * d * math.prod(deltas))
+    return UNIQUE, matching.Solution(tuple(x[:n]), lengths, params), mult
+
+
 def exhaustive_curves(task):
     """The curves of one unmarked type by solving every marking tuple
-    exactly: the exhaustive path the assignment search replaced, kept
-    as its oracle.  None when some tuple is not general."""
+    in positions: the exhaustive path the assignment search replaced,
+    kept as its oracle apart from the rows the search and the match
+    share.  None when some tuple is not general."""
     comb, gens, constraints = task
     out = []
     for assign in itertools.product(range(curves.edge_count(comb)),
@@ -439,15 +520,14 @@ def exhaustive_curves(task):
         if gens and curves.orbit_min(assign, gens) != assign:
             continue
         t = replace(comb, markings=assign)
-        res = match_constraints(t, constraints)
-        if res.status == NON_GENERAL:
+        status, sol, mult = solve_in_positions(t, constraints)
+        if status == NON_GENERAL:
             return None
-        if res.status != UNIQUE:
+        if status != UNIQUE:
             continue
-        ok, problems = verify_general(t, res.solution, constraints)
+        ok, problems = verify_general(t, sol, constraints)
         assert ok, problems
-        out.append(engine.CurveRecord(t, total_multiplicity(t, constraints),
-                                      res.solution))
+        out.append(engine.CurveRecord(t, mult, sol))
     return out
 
 

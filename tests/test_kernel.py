@@ -7,13 +7,14 @@ import random
 import shutil
 import subprocess
 import sys
+from operator import mul
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropcount import _kernel, curves, degrees, engine, toric
+from tropcount import _kernel, curves, degrees, engine, lattice, toric
 from tropcount._kernel import build, pure
 from tropcount.matching import AffineConstraint
 
@@ -213,6 +214,97 @@ def test_mixed_inputs_group_by_basis():
             assert (lines_group[3][e] is None) == (extra is not None)
             parallel += extra is not None
     assert parallel > 0
+
+
+@functools.cache
+def quotient_columns(vectors, n):
+    return tuple(zip(*lattice.quotient_map(vectors, n)))
+
+
+def reference_inputs(comb, constraints):
+    """The search inputs as built before edge_rows: every edge's rows
+    straight from its quotient maps, as the oracle of
+    engine._kernel_inputs."""
+    n = comb.n
+    nb = len(comb.bounded)
+    sign = curves.path_signs(comb)
+    edges = []
+    for eid in range(curves.edge_count(comb)):
+        s = sign[curves.edge_base_vertex(comb, eid)]
+        path = [(n + b, s[b], comb.bounded[b][3])
+                for b in range(nb) if s[b]]
+        edges.append((curves.edge_dir(comb, eid), path))
+    pad = [0] * nb
+
+    def unknowns(col, path):
+        out = list(col) + pad
+        for i, s, ub in path:
+            out[i] = s * sum(map(mul, ub, col))
+        return tuple(out)
+
+    groups = {}
+    for i, c in enumerate(constraints):
+        groups.setdefault(c.basis, []).append(i)
+    out = []
+    for basis, members in groups.items():
+        offsets = [constraints[i].offset for i in members]
+        r = n - 1 - len(basis)
+        span = quotient_columns(basis, n)
+        blocks, rhs, tdata, pj, extra = [], [], [], [], []
+        for u, path in edges:
+            cols = quotient_columns((u, *basis), n)
+            blocks.append(tuple([unknowns(col, path) for col in cols[:r]]))
+            rhs.append(tuple([tuple([sum(map(mul, off, col))
+                                     for col in cols[:r]])
+                              for off in offsets]))
+            if len(cols) > r:
+                col = cols[r]
+                extra.append((unknowns(col, path),
+                              tuple([sum(map(mul, off, col))
+                                     for off in offsets])))
+                tdata.append(None)
+                pj.append(None)
+                continue
+            for col in span:
+                uj = sum(map(mul, u, col))
+                if uj:
+                    break
+            tdata.append((uj, unknowns(col, path)))
+            pj.append(tuple([sum(map(mul, off, col)) for off in offsets]))
+            extra.append(None)
+        out.append((tuple(members), tuple(blocks), tuple(rhs),
+                    tuple(tdata), tuple(pj), tuple(extra)))
+    lbounded = tuple([e if e < nb else -1 for e in range(len(edges))])
+    return n, nb, lbounded, tuple(out)
+
+
+def criterion_six_bases():
+    return [((), (LINES[i],), (LINES[j],))
+            for i in range(len(LINES)) for j in range(i, len(LINES))]
+
+
+def test_inputs_match_the_reference_builder():
+    """Every type of plane d=2 and flag3 (1,2) against points, and every
+    criterion-6 type against each of its line distributions, in the
+    order of the distribution and reversed."""
+    rng = random.Random(11)
+    degs = (degrees.plane_degree(2),) + degrees.degree_set_degrees(
+        degrees.class_degree_set(toric.GC3_FACETS, (1, 2)))
+    cases = [([(deg.n, comb) for comb, _ in curves.unmarked_types(deg)],
+              [()] * ((deg.n + deg.e - 3) // (deg.n - 1)))
+             for deg in degs]
+    cases += [([(3, comb) for comb in mixed_types()], list(bases[::step]))
+              for bases in criterion_six_bases() for step in (1, -1)]
+    checked = 0
+    for types, bases in cases:
+        for n, comb in types:
+            cons = mixed_constraints(
+                [tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(n))
+                 for _ in bases], bases)
+            assert engine._kernel_inputs(comb, cons) == \
+                reference_inputs(comb, cons)
+            checked += 1
+    assert checked > 500
 
 
 # (n, nb, edges, groups as (r_g, l_g)); each sums l_g * r_g to n + nb

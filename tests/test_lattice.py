@@ -259,25 +259,6 @@ def test_quotient_map_kernel(vectors):
                    for j in range(len(w[0])))
 
 
-def test_cached_quotient_map_computes_each_input_once():
-    # the memo lives for the process: rank 6 keeps these keys apart from
-    # every other test's
-    calls = []
-
-    def compute(vectors, n):
-        calls.append((vectors, n))
-        return lattice.quotient_map(vectors, n)
-
-    u, v = (0, 2, 1, 0, 0, 3), (1, 0, 0, 0, 5, 0)
-    first = lattice.cached_quotient_map([u], 6, compute)
-    again = lattice.cached_quotient_map((u,), 6, compute)
-    assert first is again and len(calls) == 1
-    assert first == tuple(map(tuple, lattice.quotient_map([u], 6)))
-    assert all(isinstance(row, tuple) for row in first)
-    lattice.cached_quotient_map([u, v], 6, compute)
-    assert len(calls) == 2
-
-
 def test_solve_rational_unique():
     res = lattice.solve_rational([[1, 1], [1, -1]], [3, 1])
     assert res.status == "unique"

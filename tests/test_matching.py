@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropcount import curves, degrees, engine, matching
+from tropcount import curves, degrees, engine, lattice, matching
 
 
 def line_type():
@@ -158,3 +158,42 @@ def test_generate_constraints_deterministic():
     for con in a:
         assert all(-50 <= v <= 50 for v in con.offset)
     assert a[0].basis == () and a[1].basis == ((1, 0, 0),)
+
+
+def test_edge_rows_computes_each_pair_once(monkeypatch):
+    # the memo lives for the process: rank 6 keeps these keys apart from
+    # every other test's
+    calls = []
+
+    def counted(vectors, n):
+        calls.append(tuple(vectors))
+        return lattice.quotient_map(vectors, n)
+
+    monkeypatch.setattr(matching, "quotient_map", counted)
+    u = ((0, 2, 1, 0, 0, 3), (1, 0, 0, 0, 5, 0), (0, 0, 0, 1, 0, 0))
+    deg = curves.make_degree([(v, 1) for v in u]
+                             + [(tuple(-sum(c) for c in zip(*u)), 1)])
+    types = [t for t, _ in curves.unmarked_types(deg)]
+    bases = [(), (u[0],)]
+    edges = [(t, eid, basis) for t in types
+             for eid in range(curves.edge_count(t)) for basis in bases]
+    pairs = {(curves.edge_dir(t, eid), basis) for t, eid, basis in edges}
+
+    def all_rows():
+        return [matching.edge_rows(t, curves.path_signs(t), eid, basis)
+                for t, eid, basis in edges]
+
+    # a miss maps [u, *basis], and the basis alone for the parameter
+    first = all_rows()
+    made = len(calls)
+    assert {(v, *basis) for v, basis in pairs} <= set(calls)
+    assert made <= 2 * len(pairs)
+    assert all_rows() == first and len(calls) == made
+    for (t, eid, basis), (rows, param) in zip(edges, first):
+        v = curves.edge_dir(t, eid)
+        assert isinstance(rows, tuple)
+        assert all(isinstance(row, tuple) for row in rows)
+        w = lattice.quotient_map([v, *basis], 6)
+        assert [row[:6] for row in rows] == list(zip(*w))
+        assert all(len(row) == 6 + len(t.bounded) for row in rows)
+        assert (param is None) == (v in basis)
