@@ -91,8 +91,12 @@ def _cmd_oracle(args):
 def _cmd_toric_verify(args):
     from . import toric  # not needed to start the command line
 
-    fan = toric.fan_from_json(_load(args.fan))
-    cert = toric.certificate_from_json(_load(args.cert))
+    try:
+        fan = toric.fan_from_json(_load(args.fan))
+        cert = toric.certificate_from_json(_load(args.cert))
+    except ValueError as exc:
+        print("tropcount toric verify: %s" % exc, file=sys.stderr)
+        return 2
     ok, report = toric.verify_small_resolution(fan, cert)
     _emit({"ok": ok, "report": report}, args.out)
     return 0 if ok else 1

@@ -4,7 +4,7 @@ A coarse degree records, per primitive direction, the total weight of all
 ends pointing that way.  Curve classes enter as integer linear constraints
 on these ray totals.  For a toric degeneration given by a facet table of
 its moment polytope (GC3_FACETS for the flag threefold, OCTAHEDRON_FACETS
-for the quadric), class_degree_set reads the rays, the class functionals
+for X_{2,2} in P^5), class_degree_set reads the rays, the class functionals
 and the number of ends off the table; toric builds the polytopes from
 the same tables.
 """

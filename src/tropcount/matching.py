@@ -120,6 +120,7 @@ def _edge_quotient(u, basis):
     column col of quotient_map(basis) that u meets, or None when u lies
     in the span.  A miss calls quotient_map by this module's name, so a
     wrapper on that name (perfbench's tracer) sees only the lattice work.
+    The columns of quotient_map(basis) are memoized under (n, basis).
     """
     out = _edge_quotients.get((u, basis))
     if out is None:
@@ -127,7 +128,11 @@ def _edge_quotient(u, basis):
         cols = tuple(zip(*quotient_map([u, *basis], n)))
         param = None
         if len(cols) < n - len(basis):
-            for col in zip(*quotient_map(basis, n)):
+            own = _edge_quotients.get((n, basis))
+            if own is None:
+                own = _edge_quotients[(n, basis)] = tuple(
+                    zip(*quotient_map(basis, n)))
+            for col in own:
                 uj = sum(map(mul, u, col))
                 if uj:
                     param = (uj, col)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from operator import mul
 
 from .degrees import GC3_FACETS, OCTAHEDRON_FACETS
 from .lattice import (bareiss_det, int_matrix_inverse, is_zero, primitive,
@@ -289,86 +290,31 @@ def make_certificate(cones):
     return RefinementCertificate(tuple(out))
 
 
-def _chart(f):
-    k = next(i for i, x in enumerate(f) if x != 0)
-    return [i for i in range(len(f)) if i != k]
-
-
-def _section(ray, f, chart):
-    s = sum(a * b for a, b in zip(f, ray))
-    return tuple(Fraction(ray[i], 1) / s for i in chart)
-
-
-def _hull2(points):
-    # monotone chain; exact; returns ccw hull without repeated endpoint
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) > 1 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) > 1 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def _measure(points, dim):
-    if dim == 1:
-        xs = [p[0] for p in points]
-        return max(xs) - min(xs)
-    hull = _hull2(points)
-    if len(hull) < 3:
-        return Fraction(0)
-    area = Fraction(0)
-    for i in range(len(hull)):
-        x0, y0 = hull[i]
-        x1, y1 = hull[(i + 1) % len(hull)]
-        area += x0 * y1 - x1 * y0
-    return abs(area) / 2
-
-
-def _extreme_rays(mrows, n):
-    # extreme rays of {x : each row . x >= 0} for n in {2, 3}
-    out = set()
-
-    def feasible(v):
-        return all(sum(r[i] * v[i] for i in range(n)) >= 0 for r in mrows)
-
-    if n == 2:
-        cands = [(r[1], -r[0]) for r in mrows]
-    else:
-        cands = []
-        for a, b in combinations(mrows, 2):
-            v = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-                 a[0] * b[1] - a[1] * b[0])
-            cands.append(v)
-    for v in cands:
-        if is_zero(v):
-            continue
-        for s in (1, -1):
-            w = tuple(s * x for x in v)
-            if feasible(w):
-                out.add(primitive(w)[0])
-    return out
+def _meet_in_common_face(fan, ca, cb, normals):
+    """Whether pieces ca and cb meet in the face their shared rays span:
+    by the separation lemma, whether some h is 0 on the shared rays, >= 1
+    on the rays j only ca has and <= -1 on the rays only cb has; in ca's
+    dual basis (normals) h is the sum of (1 + z_j) normals[j], z >= 0."""
+    own = [w for i, w in zip(ca, normals) if i not in cb]
+    rows = [[sum(map(mul, w, fan.rays[i])) for w in own]
+            for i in cb if i not in ca]
+    # row . (1 + z) <= -1 as row . z + slack = -1 - sum(row)
+    aeq = [row + [int(k == m) for m in range(len(rows))]
+           for k, row in enumerate(rows)]
+    return _eq_lp(aeq, [-1 - sum(row) for row in rows],
+                  [0] * len(aeq[0]))[0] == "optimal"
 
 
 def verify_small_resolution(fan, cert):
-    """Check a claimed unimodular refinement of a fan.
+    """Check a claimed unimodular refinement of a fan, in any rank.
 
     Returns (ok, report).  Verifies: (a) only existing rays are used,
     (b) every certificate cone sits inside some fan cone, (c) every
-    certificate cone is simplicial and unimodular, (d) the pieces tile
-    each fan cone exactly and meet pairwise in common faces.  The tiling
-    check is exact for ambient rank <= 3 and skipped above that.
+    certificate cone is simplicial and unimodular, and (d) the pieces
+    tile the fan: no piece is listed twice, every two pieces meet in a
+    common face, every fan cone holds a piece, and every facet of a
+    piece either lies on the boundary of a fan cone holding the piece
+    or is shared with exactly one other piece of that fan cone.
     """
     report = []
     n = fan.n
@@ -384,24 +330,22 @@ def verify_small_resolution(fan, cert):
                     report.append("(a) cone %r indexes a missing ray" %
                                   (cone,))
                     ok = False
+            elif entry in fan.rays:
+                idx.append(fan.rays.index(entry))
             else:
-                if entry in fan.rays:
-                    idx.append(fan.rays.index(entry))
-                else:
-                    report.append("(a) cone %r introduces a new ray %r" %
-                                  (cone, entry))
-                    ok = False
+                report.append("(a) cone %r introduces a new ray %r" %
+                              (cone, entry))
+                ok = False
         if ok:
             resolved.append(tuple(sorted(idx)))
 
     unimodular = []
     for cone in resolved:
-        rays = [list(fan.rays[i]) for i in cone]
         if len(cone) != n or len(set(cone)) != n:
             report.append("(c) cone %r is not a full-dimensional simplex" %
                           (cone,))
             continue
-        det = bareiss_det(rays)
+        det = bareiss_det([list(fan.rays[i]) for i in cone])
         if abs(det) != 1:
             report.append("(c) cone %r is not unimodular, |det| = %d" %
                           (cone, abs(det)))
@@ -416,37 +360,35 @@ def verify_small_resolution(fan, cert):
         if not homes[cone]:
             report.append("(b) cone %r lies in no fan cone" % (cone,))
 
-    if n > 3:
-        report.append("note: tiling check skipped for ambient rank > 3")
-    elif len(unimodular) == len(resolved) == len(cert.simplicial_cones):
-        for big in fan.cones:
-            rays = fan.cone_rays(big)
-            f = positive_functional(rays)
-            chart = _chart(f)
-            base = [_section(r, f, chart) for r in rays]
-            total = _measure(base, n - 1)
-            covered = Fraction(0)
-            for cone in resolved:
-                if big not in homes[cone]:
-                    continue
-                pts = [_section(fan.rays[i], f, chart) for i in cone]
-                covered += _measure(pts, n - 1)
-            if covered != total:
-                report.append("(d) fan cone %r not exactly covered: "
-                              "%s of %s" % (big, covered, total))
-        for ca, cb in combinations(unimodular, 2):
-            ma = [list(r) for r in
-                  zip(*int_matrix_inverse([list(fan.rays[i]) for i in ca]))]
-            mb = [list(r) for r in
-                  zip(*int_matrix_inverse([list(fan.rays[i]) for i in cb]))]
-            shared = [fan.rays[i] for i in set(ca) & set(cb)]
-            for v in _extreme_rays(ma + mb, n):
-                if not in_cone(shared, v):
-                    report.append("(d) cones %r and %r do not meet in a "
-                                  "common face" % (ca, cb))
-                    break
-    else:
+    if not len(unimodular) == len(resolved) == len(cert.simplicial_cones):
         report.append("note: tiling check skipped, earlier violations")
+        return False, report
+    # column j of a piece's inverse is the normal of its facet opposite ray j
+    normals = {cone: list(zip(*int_matrix_inverse(
+        [list(fan.rays[i]) for i in cone]))) for cone in resolved}
+    pieces = list(normals)
+    report += ["(d) cone %r is listed twice" % (cone,) for cone in pieces
+               if resolved.count(cone) > 1]
+    for ca, cb in combinations(pieces, 2):
+        if not _meet_in_common_face(fan, ca, cb, normals[ca]):
+            report.append("(d) cones %r and %r do not meet in a common "
+                          "face" % (ca, cb))
+    for big in fan.cones:
+        inside = [c for c in pieces if big in homes[c]]
+        if not inside:
+            report.append("(d) fan cone %r holds no piece" % (big,))
+        for cone in inside:
+            # a facet whose normal is >= 0 on big lies on big's boundary
+            for j, normal in enumerate(normals[cone]):
+                if all(sum(map(mul, normal, r)) >= 0
+                       for r in fan.cone_rays(big)):
+                    continue
+                facet = cone[:j] + cone[j + 1:]
+                others = sum(set(facet) <= set(c) for c in inside) - 1
+                if others != 1:
+                    report.append("(d) facet %r of cone %r is inside fan "
+                                  "cone %r and shared by %d other pieces"
+                                  % (facet, cone, big, others))
 
     ok = not any(line.startswith("(") for line in report)
     return ok, report
@@ -466,18 +408,8 @@ def builtin_gc3(lam):
 
 
 def builtin_octahedron(lam):
-    """Octahedral moment polytope of the quadric threefold degeneration."""
+    """Octahedral moment polytope of the X_{2,2} in P^5 degeneration."""
     return _table_polytope(OCTAHEDRON_FACETS, lam)
-
-
-def polytope_to_json(p):
-    return {"inequalities": [{"normal": list(a), "constant": str(c)}
-                             for a, c in p.inequalities]}
-
-
-def polytope_from_json(data):
-    return make_polytope([(item["normal"], Fraction(item["constant"]))
-                          for item in data["inequalities"]])
 
 
 def fan_to_json(fan):
@@ -485,9 +417,21 @@ def fan_to_json(fan):
             "cones": [list(c) for c in fan.cones]}
 
 
+def _json_lists(data, key, where):
+    """data[key] when it is a list of lists, or a ValueError naming it."""
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError("%s is missing %r" % (where, key))
+    value = data[key]
+    if not isinstance(value, list) or not all(isinstance(v, list)
+                                              for v in value):
+        raise ValueError("%s.%s must be a list of lists" % (where, key))
+    return value
+
+
 def fan_from_json(data):
-    return Fan(tuple(tuple(r) for r in data["rays"]),
-               tuple(tuple(c) for c in data["cones"]))
+    """The Fan of {"rays", "cones"}; a ValueError names a bad field."""
+    return Fan(tuple(tuple(r) for r in _json_lists(data, "rays", "fan")),
+               tuple(tuple(c) for c in _json_lists(data, "cones", "fan")))
 
 
 def certificate_to_json(cert):
@@ -499,6 +443,7 @@ def certificate_to_json(cert):
 
 
 def certificate_from_json(data):
+    """The certificate of {"cones"}; a ValueError names a bad field."""
     return make_certificate([
         [entry if isinstance(entry, int) else tuple(entry)
-         for entry in cone] for cone in data["cones"]])
+         for entry in cone] for cone in _json_lists(data, "cones", "cert")])

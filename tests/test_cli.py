@@ -293,6 +293,28 @@ def test_toric_verify_rejects(tmp_path):
     assert any(line.startswith("(a)") for line in verdict["report"])
 
 
+@pytest.mark.parametrize("which, data, named", [
+    ("fan", None, "cannot read"),
+    ("fan", {"cones": [[0, 1, 2]]}, "fan is missing 'rays'"),
+    ("cert", {"simplicial_cones": [[0, 1, 2]]}, "cert is missing 'cones'"),
+    ("fan", {"rays": [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
+             "cones": [[0, 1, 2]]}, "fan rays must be primitive"),
+])
+def test_toric_verify_bad_input_exits_2(tmp_path, capsys, which, data,
+                                        named):
+    """A bad input file is exit 2, apart from a rejected certificate's 1."""
+    files = dict(zip(("fan", "cert"), fan_files(tmp_path)))
+    if data is None:
+        files[which] = str(tmp_path / "missing.json")
+    else:
+        write(tmp_path / (which + ".json"), data)
+    assert cli.main(["toric", "verify", "--fan", files["fan"],
+                     "--cert", files["cert"]]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err
+    assert err.startswith("tropcount toric verify: ")
+
+
 def test_missing_subcommand_errors():
     with pytest.raises(SystemExit):
         cli.main([])

@@ -183,11 +183,11 @@ def test_edge_rows_computes_each_pair_once(monkeypatch):
         return [matching.edge_rows(t, curves.path_signs(t), eid, basis)
                 for t, eid, basis in edges]
 
-    # a miss maps [u, *basis], and the basis alone for the parameter
+    # a miss maps [u, *basis], and each basis alone once for the parameter
     first = all_rows()
     made = len(calls)
     assert {(v, *basis) for v, basis in pairs} <= set(calls)
-    assert made <= 2 * len(pairs)
+    assert made <= len(pairs) + len(bases)
     assert all_rows() == first and len(calls) == made
     for (t, eid, basis), (rows, param) in zip(edges, first):
         v = curves.edge_dir(t, eid)

@@ -220,13 +220,83 @@ def test_reject_overlapping_pieces():
     assert any(line.startswith("(d)") for line in report)
 
 
-def test_rank_four_skips_tiling_with_note():
+def test_rank_four_single_cone_is_its_own_refinement():
     rays = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     fan = toric.Fan(rays, ((0, 1, 2, 3),))
     ok, report = toric.verify_small_resolution(
         fan, toric.make_certificate([(0, 1, 2, 3)]))
-    assert ok
-    assert any(line.startswith("note") for line in report)
+    assert ok and report == []
+
+
+def test_reject_gc3_double_cover():
+    fan = toric.normal_fan(toric.builtin_gc3(1))
+    cert = split_square_cones(fan)
+    first, second = [c for c in cert.simplicial_cones if c not in fan.cones]
+    cones = [first if c == second else c for c in cert.simplicial_cones]
+    ok, report = toric.verify_small_resolution(
+        fan, toric.make_certificate(cones))
+    assert not ok
+    assert "(d) cone %r is listed twice" % (first,) in report
+
+
+def test_reject_fan_cone_without_piece():
+    # the ray cone (2,) is a maximal cone of this fan that no piece fills
+    fan = toric.Fan(((1, 0), (0, 1), (-1, 0)), ((0, 1), (2,)))
+    ok, report = toric.verify_small_resolution(
+        fan, toric.make_certificate([(0, 1)]))
+    assert not ok
+    assert report == ["(d) fan cone (2,) holds no piece"]
+
+
+# Gelfand-Cetlin rows of Gr(2,4) at constant 1, coordinates
+# (x12, x21, x22, x31) of 1 >= x21 >= x12 >= x22 >= 0, x21 >= x31 >= x22
+GR24_FACETS = [((0, -1, 0, 0), 1), ((-1, 1, 0, 0), 0), ((1, 0, -1, 0), 0),
+               ((0, 0, 1, 0), 0), ((0, 1, 0, -1), 0), ((0, 0, -1, 1), 0)]
+# the two ways to split both 5-ray cones along their common 4-ray face
+GR24_SPLIT_A = [(0, 1, 2, 4), (0, 1, 2, 5), (1, 2, 3, 4), (1, 2, 3, 5)]
+GR24_SPLIT_B = [(0, 1, 4, 5), (0, 2, 4, 5), (1, 3, 4, 5), (2, 3, 4, 5)]
+
+
+@pytest.fixture(scope="module")
+def gr24_fan():
+    fan = toric.normal_fan(toric.make_polytope(GR24_FACETS))
+    assert fan.rays == ((0, -1, 0, 0), (-1, 1, 0, 0), (1, 0, -1, 0),
+                        (0, 0, 1, 0), (0, 1, 0, -1), (0, 0, -1, 1))
+    assert [c for c in fan.cones if len(c) == 5] == [(0, 1, 2, 4, 5),
+                                                     (1, 2, 3, 4, 5)]
+    return fan
+
+
+def gr24_verdict(fan, pieces):
+    simplicial = [c for c in fan.cones if len(c) == 4]
+    assert len(simplicial) == 4
+    return toric.verify_small_resolution(
+        fan, toric.make_certificate(simplicial + pieces))
+
+
+@pytest.mark.parametrize("pieces", [GR24_SPLIT_A, GR24_SPLIT_B])
+def test_accept_gr24_triangulations(gr24_fan, pieces):
+    ok, report = gr24_verdict(gr24_fan, pieces)
+    assert ok and report == []
+
+
+@pytest.mark.parametrize("pieces", [GR24_SPLIT_A[:2] + GR24_SPLIT_B[2:],
+                                    GR24_SPLIT_B[:2] + GR24_SPLIT_A[2:]])
+def test_reject_gr24_mixed_triangulations(gr24_fan, pieces):
+    ok, report = gr24_verdict(gr24_fan, pieces)
+    assert not ok
+    lines = [line for line in report if line.startswith("(d) cones ")]
+    assert lines and all(line.endswith("do not meet in a common face")
+                         for line in lines)
+
+
+def test_reject_gr24_partial_cover(gr24_fan):
+    # half of the first 5-ray cone, nothing of the second
+    ok, report = gr24_verdict(gr24_fan, GR24_SPLIT_A[:1])
+    assert not ok
+    assert "(d) fan cone (1, 2, 3, 4, 5) holds no piece" in report
+    assert any(line.startswith("(d) facet ") and
+               "inside fan cone (0, 1, 2, 4, 5)" in line for line in report)
 
 
 def test_certificate_validation():
@@ -239,9 +309,6 @@ def test_certificate_validation():
 
 
 def test_json_round_trips():
-    p = square()
-    data = json.loads(json.dumps(toric.polytope_to_json(p)))
-    assert toric.polytope_from_json(data) == p
     fan = toric.normal_fan(toric.builtin_octahedron(1))
     fdata = json.loads(json.dumps(toric.fan_to_json(fan)))
     assert toric.fan_from_json(fdata) == fan
