@@ -120,8 +120,6 @@ def _preset_problem(kind, cls):
 def _cmd_preset(args):
     try:
         cls = [int(x) for x in args.cls.split(",")]
-        if args.preset == "flag3" and len(cls) != 2:
-            raise ValueError("flag3 wants --class S,T")
         data = _preset_problem(args.preset, cls)
     except ValueError as exc:
         print("tropcount preset: bad class: %s" % exc, file=sys.stderr)

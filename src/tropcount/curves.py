@@ -117,76 +117,6 @@ def edge_base_vertex(t, eid):
     return t.ends[eid - len(t.bounded)][0]
 
 
-def check_balanced(t):
-    """Verify the balancing condition at every vertex."""
-    if t.degenerate:
-        u0, u1 = t.ends[0][2], t.ends[1][2]
-        w0, w1 = t.ends[0][1], t.ends[1][1]
-        return all(w0 * a + w1 * b == 0 for a, b in zip(u0, u1))
-    for v in range(t.vertices):
-        total = [0] * t.n
-        for tail, head, w, u in t.bounded:
-            if tail == v:
-                for i in range(t.n):
-                    total[i] += w * u[i]
-            if head == v:
-                for i in range(t.n):
-                    total[i] -= w * u[i]
-        for vv, w, u in t.ends:
-            if vv == v:
-                for i in range(t.n):
-                    total[i] += w * u[i]
-        if any(total):
-            return False
-    return True
-
-
-def validate_type(t):
-    """Structural checks: trivalent, connected tree, balanced."""
-    if t.degenerate:
-        if t.vertices != 0 or t.bounded:
-            raise ValueError("degenerate type must have no vertices")
-        if len(t.ends) != 2:
-            raise ValueError("degenerate type must have two ends")
-        if not check_balanced(t):
-            raise ValueError("degenerate type is not balanced")
-        return True
-    if len(t.bounded) != t.vertices - 1:
-        raise ValueError("bounded edge count must be vertices - 1")
-    deg_ct = [0] * t.vertices
-    for tail, head, w, u in t.bounded:
-        deg_ct[tail] += 1
-        deg_ct[head] += 1
-        if w < 1 or primitive(u)[0] != tuple(u):
-            raise ValueError("bounded edge data not in primitive form")
-    for v, w, u in t.ends:
-        deg_ct[v] += 1
-    if any(d != 3 for d in deg_ct):
-        raise ValueError("every vertex must be trivalent")
-    # connectivity over bounded edges
-    if t.vertices:
-        seen = {0}
-        queue = deque([0])
-        adj = defaultdict(list)
-        for tail, head, _, _ in t.bounded:
-            adj[tail].append(head)
-            adj[head].append(tail)
-        while queue:
-            v = queue.popleft()
-            for w_ in adj[v]:
-                if w_ not in seen:
-                    seen.add(w_)
-                    queue.append(w_)
-        if len(seen) != t.vertices:
-            raise ValueError("type is not connected")
-    if not check_balanced(t):
-        raise ValueError("type is not balanced")
-    for m in t.markings:
-        if not 0 <= m < edge_count(t):
-            raise ValueError("marking on a nonexistent edge")
-    return True
-
-
 def path_signs(t):
     """Coefficients expressing vertex positions through the root.
 
@@ -550,26 +480,3 @@ def enumerate_types(deg, marks):
             if not gens or assign == orbit_min(assign, gens):
                 out.append(replace(comb, markings=tuple(assign)))
     return out
-
-
-def automorphisms(t):
-    """Generators of Aut(t) as permutations of edge ids."""
-    if t.degenerate:
-        return ()
-    e = len(t.ends)
-    # reconstruct a labeled tree: leaves 0..e-1 are the ends in order,
-    # internal node i maps to e + i
-    edges = []
-    leaf_data = []
-    for i, (v, w, u) in enumerate(t.ends):
-        edges.append((i, e + v))
-        leaf_data.append((u, w))
-    for tail, head, w, u in t.bounded:
-        edges.append((e + tail, e + head))
-    item = _canonicalize(edges, leaf_data, t.n)
-    if item is None:
-        raise ValueError("type has a degenerate bounded edge")
-    _, comb, gens = item
-    if comb != replace(t, markings=()):
-        raise ValueError("type is not in canonical form")
-    return tuple(gens)

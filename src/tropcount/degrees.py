@@ -72,12 +72,6 @@ class CoarseDegree:
         if self.values != tuple(sorted(self.values)):
             raise ValueError("coarse degree values must be sorted")
 
-    def value(self, v):
-        for u, c in self.values:
-            if u == tuple(v):
-                return c
-        return 0
-
     @property
     def mass(self):
         return sum(c for _, c in self.values)
@@ -108,14 +102,6 @@ class DegreeSet:
 def make_degree_set(members):
     uniq = {cd.values: cd for cd in members}
     return DegreeSet(tuple(uniq[k] for k in sorted(uniq)))
-
-
-def coarse_of(deg):
-    """Collapse a degree to its coarse degree: total weight per direction."""
-    totals = {}
-    for u, w in deg.entries:
-        totals[u] = totals.get(u, 0) + w
-    return make_coarse(deg.n, totals.items())
 
 
 def _partitions(total, max_part):
@@ -251,24 +237,3 @@ def degree_set_degrees(ds, max_weight=None):
         for deg in refine_coarse(cd, max_weight):
             out[deg.entries] = deg
     return tuple(out[k] for k in sorted(out))
-
-
-def coarse_to_json(cd):
-    return [{"ray": list(v), "count": c} for v, c in cd.values]
-
-
-def coarse_from_json(data, n=None):
-    entries = [(tuple(item["ray"]), int(item["count"])) for item in data]
-    if n is None:
-        if not entries:
-            raise ValueError("cannot infer ambient rank from empty support")
-        n = len(entries[0][0])
-    return make_coarse(n, entries)
-
-
-def degree_set_to_json(ds):
-    return [coarse_to_json(cd) for cd in ds.coarse_degrees]
-
-
-def degree_set_from_json(data, n=None):
-    return make_degree_set([coarse_from_json(item, n) for item in data])

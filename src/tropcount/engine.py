@@ -272,7 +272,7 @@ def count_invariant(problem, seed=0, workers=1):
     kernel = _kernel.implementation()
     if problem.odd_insertions:
         return CountReport(
-            total=odd_class_vanishing(),
+            total=0,
             per_degree=tuple(
                 DegreeReport(deg, False, 0, (), ODD_VANISHING_NOTE)
                 for deg in problem.degrees),
@@ -319,25 +319,6 @@ def count_invariant(problem, seed=0, workers=1):
     finally:
         if pool is not None:
             pool.shutdown()
-
-
-def apply_divisor_axiom(base, factors, balanced=True):
-    """Multiply a base invariant by divisor pairings.
-
-    factors is a list of (pairing, exponent).  The caller is responsible
-    for the dimension balance; when it fails the product is zero.
-    """
-    if not balanced:
-        return 0
-    out = base
-    for value, exp in factors:
-        out *= value ** exp
-    return out
-
-
-def odd_class_vanishing():
-    """Invariants with an odd-degree insertion vanish identically."""
-    return 0
 
 
 @lru_cache(maxsize=None)
@@ -417,14 +398,27 @@ def degree_from_json(data, where="degree"):
 
 
 def _coarse_from_json(data, where):
-    """The degree set of a coarse_degrees list, checked field by field."""
+    """The DegreeSet of a coarse_degrees list, each member a list of
+    {"ray", "count"} items; a ValueError names the field at fault, under
+    the prefix where."""
+    members = []
     for i, coarse in enumerate(_list(data, where)):
-        for j, item in enumerate(_list(coarse, "%s[%d]" % (where, i))):
-            at = "%s[%d][%d]" % (where, i, j)
-            _ints(_field(item, "ray", at), at + ".ray")
-            _int(_field(item, "count", at), at + ".count", 1)
+        at = "%s[%d]" % (where, i)
+        entries = []
+        for j, item in enumerate(_list(coarse, at)):
+            item_at = "%s[%d]" % (at, j)
+            entries.append((_ints(_field(item, "ray", item_at),
+                                  item_at + ".ray"),
+                            _int(_field(item, "count", item_at),
+                                 item_at + ".count", 1)))
+        if not entries:
+            raise ValueError("%s is empty" % at)
+        try:
+            members.append(degmod.make_coarse(len(entries[0][0]), entries))
+        except ValueError as exc:
+            raise ValueError("%s: %s" % (at, exc)) from None
     try:
-        return degmod.degree_set_from_json(data)
+        return degmod.make_degree_set(members)
     except ValueError as exc:
         raise ValueError("%s: %s" % (where, exc)) from None
 
@@ -445,6 +439,9 @@ def _preset_degrees(kind, cls, max_weight):
 
 def _degrees_from_source(src):
     kind = _field(src, "kind", "degree_source")
+    # compared, not hashed: a kind may be any JSON value
+    if kind not in ("explicit", "coarse", *PRESET_FACETS):
+        raise ValueError("unknown degree_source kind %r" % (kind,))
     if kind == "explicit":
         degrees = _list(_field(src, "degrees", "degree_source"),
                         "degree_source.degrees")
@@ -461,11 +458,9 @@ def _degrees_from_source(src):
         except ValueError as exc:
             raise ValueError("degree_source.%s" % exc) from None
         return _preset_degrees(kind, tuple(cls), max_weight)
-    if kind == "coarse":
-        return degmod.degree_set_degrees(_coarse_from_json(
-            _field(src, "coarse_degrees", "degree_source"),
-            "degree_source.coarse_degrees"), max_weight)
-    raise ValueError("unknown degree_source kind %r" % (kind,))
+    return degmod.degree_set_degrees(_coarse_from_json(
+        _field(src, "coarse_degrees", "degree_source"),
+        "degree_source.coarse_degrees"), max_weight)
 
 
 def _bases_from_json(obj, rank, where):
@@ -553,29 +548,6 @@ def problem_from_json(data):
                    offsets=offsets,
                    odd_insertions=options.get("odd_insertions", False),
                    bound=_bound_from_json(cons, "constraints"))
-
-
-def problem_to_json(problem):
-    cons = {
-        "kind": "explicit" if problem.offsets is not None else "generate",
-        "bases": [[list(v) for v in basis]
-                  for basis in problem.constraint_bases],
-        "bound": problem.bound,
-    }
-    if problem.offsets is not None:
-        cons["offsets"] = [list(o) for o in problem.offsets]
-    out = {
-        "rank": problem.n,
-        "degree_source": {
-            "kind": "explicit",
-            "degrees": [degree_to_json(d) for d in problem.degrees],
-        },
-        "constraints": cons,
-        "options": {},
-    }
-    if problem.odd_insertions:
-        out["options"]["odd_insertions"] = True
-    return out
 
 
 def comb_type_to_json(t):

@@ -62,10 +62,6 @@ class AffineConstraint:
         return len(self.offset)
 
     @property
-    def dim(self):
-        return len(self.basis)
-
-    @property
     def codim(self):
         """Codimension of the incidence condition on a 1-dimensional curve."""
         return len(self.offset) - 1 - len(self.basis)

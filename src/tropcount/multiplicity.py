@@ -84,28 +84,3 @@ def total_multiplicity(t, constraints):
     for dl in deltas:
         total *= dl
     return Multiplicity(wprod, d, deltas, total)
-
-
-def mikhalkin_multiplicity(t):
-    """Classical plane multiplicity: product over vertices of the
-    absolute determinant of two of the three weighted flag directions."""
-    if t.n != 2:
-        raise ValueError("the vertex determinant form only exists in rank 2")
-    if t.degenerate:
-        raise ValueError("degenerate types have no vertex multiplicity")
-    out = 1
-    for v in range(t.vertices):
-        vecs = []
-        for tail, head, w, u in t.bounded:
-            if tail == v:
-                vecs.append((w * u[0], w * u[1]))
-            if head == v:
-                vecs.append((-w * u[0], -w * u[1]))
-        for vv, w, u in t.ends:
-            if vv == v:
-                vecs.append((w * u[0], w * u[1]))
-        if len(vecs) != 3:
-            raise ValueError("vertex %d is not trivalent" % v)
-        a, b = vecs[0], vecs[1]
-        out *= abs(a[0] * b[1] - a[1] * b[0])
-    return out

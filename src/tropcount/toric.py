@@ -16,6 +16,7 @@ from itertools import combinations
 from operator import mul
 
 from .degrees import GC3_FACETS, OCTAHEDRON_FACETS
+from .engine import _field, _int, _ints, _list
 from .lattice import (bareiss_det, int_matrix_inverse, is_zero, primitive,
                       rank_int, solve_rational)
 
@@ -221,6 +222,9 @@ class Fan:
     cones: tuple
 
     def __post_init__(self):
+        if not self.rays or len(set(map(len, self.rays))) != 1:
+            raise ValueError("fan rays must be a nonempty list of vectors "
+                             "of one length")
         if len(set(self.rays)) != len(self.rays):
             raise ValueError("fan rays must be distinct")
         for r in self.rays:
@@ -412,38 +416,25 @@ def builtin_octahedron(lam):
     return _table_polytope(OCTAHEDRON_FACETS, lam)
 
 
-def fan_to_json(fan):
-    return {"rays": [list(r) for r in fan.rays],
-            "cones": [list(c) for c in fan.cones]}
-
-
-def _json_lists(data, key, where):
-    """data[key] when it is a list of lists, or a ValueError naming it."""
-    if not isinstance(data, dict) or key not in data:
-        raise ValueError("%s is missing %r" % (where, key))
-    value = data[key]
-    if not isinstance(value, list) or not all(isinstance(v, list)
-                                              for v in value):
-        raise ValueError("%s.%s must be a list of lists" % (where, key))
-    return value
-
-
 def fan_from_json(data):
     """The Fan of {"rays", "cones"}; a ValueError names a bad field."""
-    return Fan(tuple(tuple(r) for r in _json_lists(data, "rays", "fan")),
-               tuple(tuple(c) for c in _json_lists(data, "cones", "fan")))
-
-
-def certificate_to_json(cert):
-    out = []
-    for cone in cert.simplicial_cones:
-        out.append([entry if isinstance(entry, int) else list(entry)
-                    for entry in cone])
-    return {"cones": out}
+    rays = _list(_field(data, "rays", "fan"), "fan.rays")
+    cones = _list(_field(data, "cones", "fan"), "fan.cones")
+    return Fan(tuple(_ints(r, "fan.rays[%d]" % i) for i, r in enumerate(rays)),
+               tuple(_ints(c, "fan.cones[%d]" % i)
+                     for i, c in enumerate(cones)))
 
 
 def certificate_from_json(data):
-    """The certificate of {"cones"}; a ValueError names a bad field."""
-    return make_certificate([
-        [entry if isinstance(entry, int) else tuple(entry)
-         for entry in cone] for cone in _json_lists(data, "cones", "cert")])
+    """The certificate of {"cones"}, each cone entry a ray index or a ray
+    vector; a ValueError names a bad field."""
+    cones = []
+    for i, cone in enumerate(_list(_field(data, "cones", "cert"),
+                                   "cert.cones")):
+        entries = []
+        for j, entry in enumerate(_list(cone, "cert.cones[%d]" % i)):
+            at = "cert.cones[%d][%d]" % (i, j)
+            entries.append(_ints(entry, at) if isinstance(entry, list)
+                           else _int(entry, at))
+        cones.append(entries)
+    return make_certificate(cones)

@@ -1,9 +1,16 @@
 """End-to-end command line checks, in process via main()."""
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from test_degrees import OCTAHEDRON_PAIRS
 from tropcount import cli, degrees, engine, toric
 
 
@@ -14,6 +21,18 @@ def write(path, data):
 
 def read(path):
     return json.loads(path.read_text())
+
+
+def plane_line(offsets=((0, 0), (5, 7))):
+    """The problem file of the plane lines through two points: at these
+    fixed offsets, or at generated ones when offsets is None."""
+    cons = {"kind": "generate", "bases": [[], []]}
+    if offsets is not None:
+        cons.update(kind="explicit", offsets=[list(o) for o in offsets])
+    return {"rank": 2,
+            "degree_source": {"kind": "explicit", "degrees": [
+                engine.degree_to_json(degrees.plane_degree(1))]},
+            "constraints": cons, "options": {}}
 
 
 def test_preset_count_flag3_line(tmp_path):
@@ -42,14 +61,10 @@ def test_preset_count_octahedron(tmp_path):
     assert sum(1 for r in rep["per_degree"] if r["active"]) == 4
 
 
-def test_preset_flag3_wants_two_numbers(capsys):
-    assert cli.main(["preset", "flag3", "--class", "1"]) == 2
-    assert "flag3 wants" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("preset, cls", [("flag3", "0,0"), ("flag3", "2,-1"),
                                          ("flag3", "1,x"), ("octahedron", "0"),
-                                         ("octahedron", "1,1")])
+                                         ("octahedron", "1,1"),
+                                         ("flag3", "1")])
 def test_preset_bad_class_exits_2(capsys, preset, cls):
     assert cli.main(["preset", preset, "--class", cls]) == 2
     err = capsys.readouterr().err
@@ -57,10 +72,7 @@ def test_preset_bad_class_exits_2(capsys, preset, cls):
 
 
 def test_count_long_gate(tmp_path):
-    prob = engine.Problem(n=2, degrees=(degrees.plane_degree(1),),
-                          constraint_bases=((), ()),
-                          offsets=((0, 0), (5, 7)))
-    data = engine.problem_to_json(prob)
+    data = plane_line()
     data["options"]["long"] = True
     path = write(tmp_path / "long.json", data)
     out = tmp_path / "report.json"
@@ -118,9 +130,7 @@ def test_count_bad_problem_exits_2(tmp_path, capsys, edit, named):
     """edit names a field to drop, sets the field at path with
     path=JSON, replaces the whole file with the text after a leading <,
     or passes a count option with --option=value."""
-    data = engine.problem_to_json(engine.Problem(
-        n=2, degrees=(degrees.plane_degree(1),), constraint_bases=((), ()),
-        offsets=((0, 0), (5, 7))))
+    data = plane_line()
     options = []
     if edit.startswith("--"):
         options = edit.split("=", 1)
@@ -143,10 +153,77 @@ def test_count_bad_problem_exits_2(tmp_path, capsys, edit, named):
     assert "Traceback" not in err
 
 
+# three small valid problems: a preset class, an explicit degree at fixed
+# offsets, and a coarse source (octahedron class 1, through one point)
+VALID_PROBLEMS = (
+    {"rank": 3, "degree_source": {"kind": "flag3", "class": [1, 1]},
+     "constraints": {"kind": "generate", "bases": [[], []]}, "options": {}},
+    plane_line(),
+    {"rank": 3,
+     "degree_source": {"kind": "coarse", "max_weight": 1, "coarse_degrees": [
+         [{"ray": [-x for x in u], "count": 1}, {"ray": list(u), "count": 1}]
+         for u in OCTAHEDRON_PAIRS]},
+     "constraints": {"kind": "generate", "bases": [[]], "bound": 1000}},
+)
+
+
+def field_paths(data, prefix=()):
+    """The path of every field and list entry below data."""
+    if isinstance(data, dict):
+        items = data.items()
+    elif isinstance(data, list):
+        items = enumerate(data)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_problems(draw):
+    """A valid problem with one field or list entry dropped, retyped to
+    a float, bool, string, list or null, or (an integer) moved by at
+    most 2.  No mutation counts more than flag3 (1, 1): a moved class
+    keeps its two point conditions, so none of its degrees is active."""
+    data = copy.deepcopy(draw(st.sampled_from(VALID_PROBLEMS)))
+    *parents, last = draw(st.sampled_from(list(field_paths(data))))
+    obj = data
+    for key in parents:
+        obj = obj[key]
+    value = obj[last]
+    how = draw(st.sampled_from(
+        ["drop", "float", "bool", "string", "list", "null"]
+        + ["perturb"] * (type(value) is int)))
+    if how == "drop":
+        del obj[last]
+    elif how == "perturb":
+        obj[last] = value + draw(st.sampled_from((-2, -1, 1, 2)))
+    else:
+        obj[last] = {"float": float(value) if type(value) is int else 0.5,
+                     "bool": not value, "string": str(value),
+                     "list": [value], "null": None}[how]
+    return data
+
+
+@given(mutated_problems())
+@settings(max_examples=300, deadline=None)
+def test_mutated_problem_counts_or_exits_2(data):
+    """A mutated problem file gives a JSON report and exit 0, or one line
+    on stderr and exit 2: never a traceback, and never exit 1."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write(Path(tmp) / "problem.json", data)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["count", "--problem", path, "--seed", "1"])
+    if code == 0:
+        assert type(json.loads(out.getvalue())["total"]) is int
+    else:
+        assert code == 2 and err.getvalue().count("\n") == 1, err.getvalue()
+
+
 def test_count_explicit_offsets_wrong_length(tmp_path, capsys):
-    data = engine.problem_to_json(engine.Problem(
-        n=2, degrees=(degrees.plane_degree(1),), constraint_bases=((), ()),
-        offsets=((0, 0), (5, 7))))
+    data = plane_line()
     data["constraints"]["offsets"].pop()
     path = write(tmp_path / "bad.json", data)
     assert cli.main(["count", "--problem", path]) == 2
@@ -167,8 +244,7 @@ def set_bases(bases):
         "rank-not-int"])
 def test_count_bad_problem_is_rejected_before_counting(tmp_path, capsys,
                                                        change, named):
-    data = engine.problem_to_json(engine.Problem(
-        n=2, degrees=(degrees.plane_degree(1),), constraint_bases=((), ())))
+    data = plane_line(offsets=None)
     change(data)
     path = write(tmp_path / "bad.json", data)
     assert cli.main(["count", "--problem", path]) == 2
@@ -192,11 +268,8 @@ def test_types_listing(tmp_path):
 def test_output_is_indented_json_text(tmp_path, capsys, to_file):
     """Output is streamed, and its bytes are json.dumps(sort_keys=True,
     indent=2) and a newline, for a count report and a types listing."""
-    prob = engine.Problem(n=2, degrees=(degrees.plane_degree(1),),
-                          constraint_bases=((), ()),
-                          offsets=((0, 0), (5, 7)))
     runs = [["count", "--problem",
-             write(tmp_path / "problem.json", engine.problem_to_json(prob))],
+             write(tmp_path / "problem.json", plane_line())],
             ["types", "--marks", "1", "--degree",
              write(tmp_path / "degree.json",
                    engine.degree_to_json(degrees.plane_degree(2)))]]
@@ -269,9 +342,9 @@ def fan_files(tmp_path, break_cert=False):
     cones = list(split_square_cones(fan).simplicial_cones)
     if break_cert:
         cones[-1] = (cones[-1][0], cones[-1][1], (9, 9, 9))
-    fanfile = write(tmp_path / "fan.json", toric.fan_to_json(fan))
-    certfile = write(tmp_path / "cert.json", toric.certificate_to_json(
-        toric.make_certificate(cones)))
+    fanfile = write(tmp_path / "fan.json",
+                    {"rays": fan.rays, "cones": fan.cones})
+    certfile = write(tmp_path / "cert.json", {"cones": cones})
     return fanfile, certfile
 
 
@@ -299,6 +372,14 @@ def test_toric_verify_rejects(tmp_path):
     ("cert", {"simplicial_cones": [[0, 1, 2]]}, "cert is missing 'cones'"),
     ("fan", {"rays": [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
              "cones": [[0, 1, 2]]}, "fan rays must be primitive"),
+    ("fan", {"rays": [[1.0, 0, 0], [0, 1, 0], [0, 0, 1]],
+             "cones": [[0, 1, 2]]}, "fan.rays[0][0]"),
+    ("fan", {"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+             "cones": [[0, "1", 2]]}, "fan.cones[0][1]"),
+    ("fan", {"rays": [], "cones": []}, "fan rays must be a nonempty"),
+    ("cert", {"cones": [[0, None, 2]]}, "cert.cones[0][1]"),
+    ("fan", {"rays": [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1]],
+             "cones": [[0, 1, 2]]}, "vectors of one length"),
 ])
 def test_toric_verify_bad_input_exits_2(tmp_path, capsys, which, data,
                                         named):

