@@ -21,7 +21,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .lattice import is_zero, primitive, vec_neg
+from .lattice import as_int, is_zero, primitive, vec_neg
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class Degree:
 
 def make_degree(entries):
     """Build a Degree from (direction, weight) pairs, canonically sorted."""
-    norm = tuple(sorted((tuple(u), int(w)) for u, w in entries))
+    norm = tuple(sorted((tuple(u), as_int(w)) for u, w in entries))
     if not norm:
         raise ValueError("empty degree")
     return Degree(len(norm[0][0]), norm)

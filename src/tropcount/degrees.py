@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .curves import make_degree
-from .lattice import is_zero, primitive, solve_rational
+from .lattice import as_int, is_zero, primitive, solve_rational
 
 # Facet tables of the built-in families: per facet, its inward normal
 # and the coefficients of its constant in the class parameters.  The
@@ -79,7 +79,7 @@ class CoarseDegree:
 
 def make_coarse(n, entries):
     """Build a CoarseDegree from (direction, total) pairs, dropping zeros."""
-    vals = tuple(sorted((tuple(v), int(c)) for v, c in entries if c))
+    vals = tuple(sorted((tuple(v), as_int(c)) for v, c in entries if c))
     return CoarseDegree(n, vals)
 
 

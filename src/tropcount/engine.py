@@ -4,7 +4,10 @@ Runs the full pipeline for a problem: enumerate combinatorial types per
 degree, match them against sampled constraints, weight solutions by
 their lattice multiplicity, and sum.  Offsets are re-sampled whenever
 any type reports a non-general configuration, so the returned total is
-the constraint-independent invariant.
+the constraint-independent invariant.  Before any type is enumerated,
+a dimension test on projections along spans of end directions
+(_projection_note) marks the degrees whose curves cannot meet general
+conditions; they count 0 and are never searched.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .curves import (CombType, Degree, edge_count, enumerate_types,
                      make_degree, orbit_min, path_signs, unmarked_types)
 from .degrees import GC3_FACETS, OCTAHEDRON_FACETS
 # quotient_map is unused here, but perfbench's tracer patches it by name
-from .lattice import quotient_map
+from .lattice import quotient_map, rank_int
 from .matching import (NON_GENERAL, UNIQUE, AffineConstraint, check_basis,
                        edge_rows, generate_constraints, match_constraints,
                        verify_general)
@@ -38,6 +41,7 @@ log = logging.getLogger("tropcount")
 ODD_VANISHING_NOTE = ("an insertion from odd cohomology forces the "
                       "invariant to vanish")
 DIMENSION_NOTE = "constraint codimensions do not sum to e+n-3"
+PROJECTION_NOTE = "no curve of this degree meets general conditions"
 
 
 class GeneralPositionError(RuntimeError):
@@ -207,19 +211,58 @@ def _count_degenerate(t, constraints):
     return [CurveRecord(t, mult, out.solution)]
 
 
-def _attempt(degrees, active, constraints, pool, workers):
+@lru_cache(maxsize=None)
+def _projection_note(deg, bases):
+    """A note naming K, m and e' when some span K != R^n of the degree's
+    end directions shows that its curves cannot meet general conditions
+    of these bases; "" otherwise.
+
+    A curve's image in R^n/K (m = n - dim K) moves in a family of
+    dimension at most D: m when every end lies in K (e' = 0), else
+    e' + m - 3 for the e' ends outside K.  Meeting condition i costs the
+    image m - d_i dimensions, or max(0, m - 1 - d_i) when the point can
+    slide along it (e' > 0), with d_i = dim(K + span B_i) - dim K.  If
+    these costs exceed D, general offsets leave no curve, and a degree's
+    count is the same for all general offsets.  K = 0 gives equality on
+    every active degree.  Each K is visited once, keyed by the end
+    directions it holds; the largest K that applies is named.
+    """
+    dirs = sorted({u for u, _ in deg.entries})
+    flats, todo = {}, [()]
+    for span in todo:
+        inside = tuple(u for u in dirs if rank_int(span + (u,)) == len(span))
+        if inside not in flats:
+            flats[inside] = span
+            if len(span) + 1 < deg.n:
+                todo.extend(span + (u,) for u in dirs if u not in inside)
+    # largest K first, so a degree in a plane is named by its plane
+    for inside, span in reversed(flats.items()):
+        r = len(span)
+        m = deg.n - r
+        ep = sum(u not in inside for u, _ in deg.entries)
+        cost = sum(max(0, m - (ep > 0) - rank_int(span + b) + r)
+                   for b in bases)
+        if cost > (ep + m - 3 if ep else m):
+            return "%s: along span{%s}, m=%d and e'=%d" % (
+                PROJECTION_NOTE, ", ".join(map(str, span)), m, ep)
+    return ""
+
+
+def _attempt(degrees, fixed, constraints, pool, workers):
     """(degree reports, None) for one sample of offsets, or (None,
     (degree, type)) for the first type whose offsets are not general.
 
-    The types of every active degree with more than two ends go out as
+    fixed holds, per degree, its report when it is not searched (an
+    inactive degree, or one _projection_note proves zero), else None.
+    The types of every searched degree with more than two ends go out as
     one batch, degrees in order and types in unmarked_types order, so a
     count makes one pool round trip per attempt.  Results are read
     degree by degree, so a serial attempt stops after the first degree
     that is not general.
     """
     constraints = tuple(constraints)
-    types = [unmarked_types(deg) if act and deg.e > 2 else ()
-             for deg, act in zip(degrees, active)]
+    types = [unmarked_types(deg) if fix is None and deg.e > 2 else ()
+             for deg, fix in zip(degrees, fixed)]
     tasks = [(comb, gens, constraints) for ts in types for comb, gens in ts]
     if pool is None:
         results = map(_count_type, tasks)
@@ -227,9 +270,9 @@ def _attempt(degrees, active, constraints, pool, workers):
         results = pool.map(_count_type, tasks,
                            chunksize=max(1, -(-len(tasks) // workers)))
     reports = []
-    for deg, act, ts in zip(degrees, active, types):
-        if not act:
-            reports.append(DegreeReport(deg, False, 0, (), DIMENSION_NOTE))
+    for deg, fix, ts in zip(degrees, fixed, types):
+        if fix is not None:
+            reports.append(fix)
             continue
         if deg.e == 2:
             t = enumerate_types(deg, len(constraints))[0]
@@ -260,9 +303,14 @@ def count_invariant(problem, seed=0, workers=1):
     constraint offsets, re-sampling (seed stream "seed:retry") until no
     type reports a non-general configuration, and sums multiplicities.
     workers > 1 runs the per-type searches in a process pool started
-    for this count.  Raises ValueError for a workers that is not a
-    positive integer, and GeneralPositionError when fixed offsets are
-    not general or MAX_RETRIES samples all fail.
+    for this count.  An active degree that _projection_note proves zero
+    is decided once, before the first sample: it reports subtotal 0, no
+    curves and the note, and is never searched.  So offsets are checked
+    for generality only on searched degrees, and fixed offsets that are
+    special only for a skipped degree count instead of raising.  Raises
+    ValueError for a workers that is not a positive integer, and
+    GeneralPositionError when fixed offsets are not general or
+    MAX_RETRIES samples all fail.
     """
     if type(workers) is not int or workers < 1:
         raise ValueError("workers must be a positive integer, not %r"
@@ -281,12 +329,18 @@ def count_invariant(problem, seed=0, workers=1):
             kernel=kernel, workers=workers,
             note=ODD_VANISHING_NOTE)
 
-    codim_total = sum(problem.n - 1 - len(b) for b in problem.constraint_bases)
-    active = []
+    bases = tuple(tuple(map(tuple, b)) for b in problem.constraint_bases)
+    codim_total = sum(problem.n - 1 - len(b) for b in bases)
+    fixed = []
     for deg in problem.degrees:
         if deg.n != problem.n:
             raise ValueError("degree rank differs from the problem rank")
-        active.append(codim_total == deg.e + problem.n - 3)
+        if codim_total != deg.e + problem.n - 3:
+            fixed.append(DegreeReport(deg, False, 0, (), DIMENSION_NOTE))
+        else:
+            note = _projection_note(deg, bases)
+            fixed.append(DegreeReport(deg, True, 0, (), note) if note
+                         else None)
 
     pool = None
     try:
@@ -294,7 +348,7 @@ def count_invariant(problem, seed=0, workers=1):
             pool = ProcessPoolExecutor(max_workers=workers)
         for retry in range(MAX_RETRIES):
             constraints = _constraints_for(problem, seed, retry)
-            reports, bad = _attempt(problem.degrees, active, constraints,
+            reports, bad = _attempt(problem.degrees, fixed, constraints,
                                     pool, workers)
             if bad is None:
                 return CountReport(

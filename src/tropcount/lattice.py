@@ -23,6 +23,17 @@ def vec_neg(a):
     return tuple(-x for x in a)
 
 
+def as_int(x):
+    """x as an int when it equals one (7, 7.0, Fraction(7)); any other
+    value raises a ValueError that names it, instead of truncating."""
+    try:
+        if int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError("%r is not an integer" % (x,))
+
+
 def is_zero(a):
     return all(x == 0 for x in a)
 

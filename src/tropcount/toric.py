@@ -17,8 +17,8 @@ from operator import mul
 
 from .degrees import GC3_FACETS, OCTAHEDRON_FACETS
 from .engine import _field, _int, _ints, _list
-from .lattice import (bareiss_det, int_matrix_inverse, is_zero, primitive,
-                      rank_int, solve_rational)
+from .lattice import (as_int, bareiss_det, int_matrix_inverse, is_zero,
+                      primitive, rank_int, solve_rational)
 
 
 def _pivot(tab, basis, row, col):
@@ -210,7 +210,7 @@ class Polytope:
 
 def make_polytope(ineqs):
     """Build a Polytope from (normal, constant) pairs."""
-    norm = tuple((tuple(int(x) for x in a), Fraction(c)) for a, c in ineqs)
+    norm = tuple((tuple(map(as_int, a)), Fraction(c)) for a, c in ineqs)
     return Polytope(norm)
 
 
@@ -289,7 +289,7 @@ def make_certificate(cones):
             if isinstance(entry, int):
                 entries.append(entry)
             else:
-                entries.append(tuple(int(x) for x in entry))
+                entries.append(tuple(map(as_int, entry)))
         out.append(tuple(entries))
     return RefinementCertificate(tuple(out))
 

@@ -81,7 +81,6 @@ def test_criterion_03_flag3_one_two_vanishes():
     assert time.perf_counter() - t0 < 120.0
 
 
-@pytest.mark.long
 def test_criterion_04_flag3_one_three_vanishes():
     t0 = time.perf_counter()
     assert flag3_report(1, 3, 4, 1, WORKERS).total == 0

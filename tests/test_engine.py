@@ -82,6 +82,11 @@ def test_octahedron_conics_through_two_points():
         assert r.active == (r.degree.e == 4)
 
 
+def skipped(r):
+    """Whether the count proved the degree of report r zero unsearched."""
+    return r.note.startswith(engine.PROJECTION_NOTE)
+
+
 def report_without_run(rep):
     """report_to_json without the fields that differ between runs."""
     data = engine.report_to_json(rep)
@@ -128,7 +133,7 @@ def test_one_pool_map_per_attempt(monkeypatch):
         octahedron_problem(2, LINE_DISTRIBUTIONS[1]), seed=1, workers=2)
     assert rep.total == 3 and rep.genericity_retries == 0
     batched = [r.degree for r in rep.per_degree
-               if r.active and r.degree.e > 2]
+               if r.active and r.degree.e > 2 and not skipped(r)]
     types = sum(len(curves.unmarked_types(d)) for d in batched)
     assert types > len(batched) > 1
     assert calls == {"workers": 2, "maps": [types], "shutdowns": 1}
@@ -498,7 +503,7 @@ def test_mixed_count_runs_the_search(monkeypatch):
     assert rep.total == 3 and rep.genericity_retries == 0
     assert rep.kernel == _kernel.implementation()
     types = sum(len(curves.unmarked_types(r.degree))
-                for r in rep.per_degree if r.active)
+                for r in rep.per_degree if r.active and not skipped(r))
     assert calls["search"] == types > 0
     assert calls["match"] == sum(len(r.curves) for r in rep.per_degree) > 0
 
@@ -518,6 +523,114 @@ def test_each_genericity_retry_is_logged(caplog, workers):
     for retry, line in enumerate(lines):
         assert line.startswith("offsets of retry %d are not general for "
                                "degree %s at type {" % (retry, deg))
+
+
+def searched_directly(deg, constraints):
+    """The curves of deg through constraints with every type searched
+    through _count_type, or None when the offsets are not general."""
+    if deg.e == 2:
+        t = curves.enumerate_types(deg, len(constraints))[0]
+        return engine._count_degenerate(t, constraints)
+    found = []
+    for comb, gens in curves.unmarked_types(deg):
+        res = engine._count_type((comb, gens, constraints))
+        if res is None:
+            return None
+        found.extend(res)
+    return found
+
+
+def assert_projection_sound(prob, seeds=(1, 2, 3)):
+    """Each active degree of each count searched type by type with the
+    count's constraints: a degree the count skips gives no curve, and a
+    searched one gives the count's curves.  A skipped degree's offsets
+    were never checked for generality, so where they are not general
+    the next re-samples are searched.  Returns the skipped degrees."""
+    skips = []
+    for seed in seeds:
+        rep = engine.count_invariant(prob, seed=seed)
+        for r in rep.per_degree:
+            if not r.active:
+                continue
+            for retry in range(rep.genericity_retries, engine.MAX_RETRIES):
+                cons = tuple(engine._constraints_for(prob, seed, retry))
+                found = searched_directly(r.degree, cons)
+                if found is not None or not skipped(r):
+                    break
+            if skipped(r):
+                assert found == [] and r.subtotal == 0, (seed, r.note)
+                skips.append(r.degree)
+            else:
+                assert found == list(r.curves), (seed, r.degree)
+    return skips
+
+
+def flag3_problem(s, t):
+    return engine.problem_from_json({
+        "rank": 3, "degree_source": {"kind": "flag3", "class": [s, t]},
+        "constraints": {"kind": "generate", "bases": [[]] * (s + t)}})
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: flag3_problem(1, 1), id="flag3-1-1"),
+    pytest.param(lambda: flag3_problem(1, 2), id="flag3-1-2"),
+    pytest.param(lambda: flag3_problem(2, 1), id="flag3-2-1"),
+    pytest.param(lambda: flag3_problem(1, 3), id="flag3-1-3"),
+    pytest.param(lambda: octahedron_problem(1, ((),)), id="octa1-points"),
+    pytest.param(lambda: octahedron_problem(2, ((), ())), id="octa2-points"),
+    *[pytest.param(lambda bases=bases: octahedron_problem(2, bases),
+                   id="octa2-mixed%d" % i)
+      for i, bases in enumerate(LINE_DISTRIBUTIONS)],
+    pytest.param(lambda: octahedron_problem(3, ((),) * 3),
+                 id="octa3-points", marks=pytest.mark.long),
+    pytest.param(lambda: octahedron_problem(
+        3, ((),) + tuple((LINES[i],) for i in (0, 0, 1, 2))),
+                 id="octa3-point-lines", marks=pytest.mark.long),
+    pytest.param(lambda: flag3_problem(2, 2), id="flag3-2-2",
+                 marks=pytest.mark.long)])
+def test_projection_skips_only_empty_degrees(make):
+    assert_projection_sound(make())
+
+
+def test_projection_skips_flag3_one_three():
+    """Both active degrees of flag3 (1,3) through 4 points are zero: the
+    planar one lies in a translate of its plane, which no general point
+    meets; the other, seen along (0, 1, 0), is a tropical line with 3
+    ends through 4 general points of R^2.  The oracle above still
+    searches all of their types."""
+    rep = engine.count_invariant(flag3_problem(1, 3), seed=1)
+    notes = [r.note for r in rep.per_degree if r.active]
+    assert notes == [
+        engine.PROJECTION_NOTE + ": along span{(-1, 0, 0), (0, -1, 0)},"
+        " m=1 and e'=0",
+        engine.PROJECTION_NOTE + ": along span{(0, -1, 0)}, m=2 and e'=3"]
+    assert rep.total == 0
+    assert all(r.subtotal == 0 and r.curves == () for r in rep.per_degree)
+
+
+def test_projection_skips_a_line_along_a_parallel_condition():
+    """A line of direction u meets a line condition spanned by u only if
+    its whole translate lies in that condition's plane through u: K is
+    span{u}, and one more condition makes the count overdetermined."""
+    u = (1, 0, 0)
+    deg = curves.make_degree([(u, 1), ((-1, 0, 0), 1)])
+    for other, want in ((u, True), ((0, 0, 1), False)):
+        prob = engine.Problem(n=3, degrees=(deg,),
+                              constraint_bases=((other,), ((0, 1, 0),)))
+        rep = engine.count_invariant(prob, seed=1)
+        (r,) = rep.per_degree
+        assert r.active and skipped(r) == want
+        assert rep.total == (0 if want else 1)
+        assert len(assert_projection_sound(prob)) == (3 if want else 0)
+
+
+def test_projection_never_skips_a_plane_degree():
+    """In R^2 a proper K is a line, and m = 1 leaves no condition any
+    cost once an end leaves K."""
+    rep = engine.count_invariant(
+        engine.Problem(n=2, degrees=(degrees.plane_degree(2),),
+                       constraint_bases=((),) * 5), seed=1)
+    assert rep.total == 1 and rep.per_degree[0].note == ""
 
 
 def solve_in_positions(t, constraints):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropcount import lattice
+from tropcount import curves, degrees, lattice, toric
 
 ints = st.integers(min_value=-30, max_value=30)
 
@@ -397,3 +397,26 @@ def test_saturation_index_is_gcd_of_maximal_minors(seed, n, k):
     for cols in combinations(range(n), k):
         g = gcd(g, int(fraction_det([[v[c] for c in cols] for v in basis])))
     assert lattice.saturation_index(basis) == g
+
+
+@pytest.mark.parametrize("build, value", [
+    (lambda: toric.make_certificate([(0, (1, 1, 7.5), 2)]), "7.5"),
+    (lambda: toric.make_polytope([((1.5, 0), 0), ((-1, 0), 1),
+                                  ((0, 1), 0), ((0, -1), 1)]), "1.5"),
+    (lambda: curves.make_degree([((1, 0), 1.5), ((-1, 0), 1)]), "1.5"),
+    (lambda: degrees.make_coarse(2, [((1, 0), 2.5), ((-1, 0), 2)]), "2.5"),
+])
+def test_constructors_name_a_non_integer(build, value):
+    """A non-integer entry raises, naming the value, where int() would
+    have truncated it."""
+    with pytest.raises(ValueError, match=r"^%s is not an integer$" % value):
+        build()
+
+
+def test_as_int():
+    assert lattice.as_int(7.0) == 7 and type(lattice.as_int(7.0)) is int
+    assert lattice.as_int(Fraction(-4, 2)) == -2
+    for bad in (7.5, Fraction(1, 2), "7", None, float("inf"),
+                float("nan")):
+        with pytest.raises(ValueError, match="is not an integer"):
+            lattice.as_int(bad)
