@@ -55,8 +55,10 @@ class Degree:
 
 
 def make_degree(entries):
-    """Build a Degree from (direction, weight) pairs, canonically sorted."""
-    norm = tuple(sorted((tuple(u), as_int(w)) for u, w in entries))
+    """Build a Degree from (direction, weight) pairs, canonically sorted;
+    a non-integer entry raises ValueError."""
+    norm = tuple(sorted((tuple(map(as_int, u)), as_int(w))
+                        for u, w in entries))
     if not norm:
         raise ValueError("empty degree")
     return Degree(len(norm[0][0]), norm)
@@ -71,7 +73,8 @@ class CombType:
     measured in units of the primitive dir.  ends are (vertex, weight, dir).
     Edge ids: bounded edges first, then ends.  markings lists the edge id
     carrying each marked point.  A degenerate type is a straight line with
-    no vertex; it has a single edge with id 0.
+    no vertex: two ends at vertex -1 and a single edge, id 0, that reads
+    as its first end.
     """
 
     n: int
@@ -89,29 +92,24 @@ def edge_count(t):
 
 
 def is_bounded(t, eid):
-    return (not t.degenerate) and eid < len(t.bounded)
+    return eid < len(t.bounded)
 
 
 def edge_weight(t, eid):
-    if t.degenerate:
-        return t.ends[0][1]
     if eid < len(t.bounded):
         return t.bounded[eid][2]
     return t.ends[eid - len(t.bounded)][1]
 
 
 def edge_dir(t, eid):
-    if t.degenerate:
-        return t.ends[0][2]
     if eid < len(t.bounded):
         return t.bounded[eid][3]
     return t.ends[eid - len(t.bounded)][2]
 
 
 def edge_base_vertex(t, eid):
-    """Vertex from which the edge's parameterization starts."""
-    if t.degenerate:
-        return -1
+    """Vertex from which the edge's parameterization starts (-1 on a
+    two-ended line, which has no vertex)."""
     if eid < len(t.bounded):
         return t.bounded[eid][0]
     return t.ends[eid - len(t.bounded)][0]

@@ -78,8 +78,10 @@ class CoarseDegree:
 
 
 def make_coarse(n, entries):
-    """Build a CoarseDegree from (direction, total) pairs, dropping zeros."""
-    vals = tuple(sorted((tuple(v), as_int(c)) for v, c in entries if c))
+    """Build a CoarseDegree from (direction, total) pairs, dropping zeros;
+    a non-integer entry raises ValueError."""
+    vals = tuple(sorted((tuple(map(as_int, v)), as_int(c))
+                        for v, c in entries if c))
     return CoarseDegree(n, vals)
 
 

@@ -24,8 +24,8 @@ from operator import mul
 
 from . import _kernel
 from . import degrees as degmod
-from .curves import (CombType, Degree, edge_count, enumerate_types,
-                     make_degree, orbit_min, path_signs, unmarked_types)
+from .curves import (CombType, Degree, edge_count, make_degree, orbit_min,
+                     path_signs, unmarked_types)
 from .degrees import GC3_FACETS, OCTAHEDRON_FACETS
 # quotient_map is unused here, but perfbench's tracer patches it by name
 from .lattice import quotient_map, rank_int
@@ -154,61 +154,53 @@ def _kernel_inputs(comb, constraints):
     return n, nb, lbounded, tuple(groups)
 
 
-def _finish_candidate(comb, markings, constraints):
-    """Exact re-verification and multiplicity of one kernel candidate."""
-    t = replace(comb, markings=markings)
-    out = match_constraints(t, constraints)
-    if out.status == NON_GENERAL:
-        return None
-    if out.status != UNIQUE:
-        raise RuntimeError("internal: search and exact solve disagree")
-    ok, problems = verify_general(t, out.solution, constraints)
+def _finish_candidate(t, solution, constraints):
+    """The CurveRecord of a marked type's unique exact solution, after
+    the independent check and the multiplicity."""
+    ok, problems = verify_general(t, solution, constraints)
     if not ok:
         raise RuntimeError("internal: solution fails verification: %s"
                            % problems)
     mult = total_multiplicity(t, constraints)
     if mult.total <= 0:
         raise RuntimeError("internal: nonpositive multiplicity")
-    return CurveRecord(t, mult, out.solution)
+    return CurveRecord(t, mult, solution)
 
 
 def _count_type(task):
     """Worker: the curves of one unmarked type through the constraints,
-    or None when the offsets are not general for it.  Curves come in
-    the order of their marking tuples."""
+    or None when the offsets are not general for it.  The search
+    proposes marking tuples; a two-ended type's one edge carries every
+    marking, so its one tuple needs none.  The exact match decides each
+    tuple, and curves come in the order of their marking tuples."""
     comb, gens, constraints = task
-    status, cands = _kernel.search_points(*_kernel_inputs(comb, constraints))
-    if status == _kernel.STATUS_NON_GENERAL:
-        return None
-    found = set()
-    for edges, sigma in cands:
-        markings = [0] * len(constraints)
-        for e, c in zip(edges, sigma):
-            markings[c] = e
-        markings = tuple(markings)
-        if not gens or orbit_min(markings, gens) == markings:
-            found.add(markings)
+    if comb.degenerate:
+        found = {(0,) * len(constraints)}
+    else:
+        status, cands = _kernel.search_points(
+            *_kernel_inputs(comb, constraints))
+        if status == _kernel.STATUS_NON_GENERAL:
+            return None
+        found = set()
+        for edges, sigma in cands:
+            markings = [0] * len(constraints)
+            for e, c in zip(edges, sigma):
+                markings[c] = e
+            markings = tuple(markings)
+            if not gens or orbit_min(markings, gens) == markings:
+                found.add(markings)
     curves = []
     for markings in sorted(found):
-        rec = _finish_candidate(comb, markings, constraints)
-        if rec is None:
+        t = replace(comb, markings=markings)
+        out = match_constraints(t, constraints)
+        if out.status == NON_GENERAL:
             return None
-        curves.append(rec)
+        if out.status == UNIQUE:
+            curves.append(_finish_candidate(t, out.solution, constraints))
+        elif not comb.degenerate:
+            # a line may miss its conditions; a search candidate may not
+            raise RuntimeError("internal: search and exact solve disagree")
     return curves
-
-
-def _count_degenerate(t, constraints):
-    """Curves of the one type of a two-ended degree, or None when the
-    offsets are not general for it."""
-    out = match_constraints(t, constraints)
-    if out.status == NON_GENERAL:
-        return None
-    if out.status != UNIQUE:
-        return []
-    mult = total_multiplicity(t, constraints)
-    if mult.d_index == 0:
-        return None
-    return [CurveRecord(t, mult, out.solution)]
 
 
 @lru_cache(maxsize=None)
@@ -250,21 +242,23 @@ def _projection_note(deg, bases):
 
 def _attempt(degrees, fixed, constraints, pool, workers):
     """(degree reports, None) for one sample of offsets, or (None,
-    (degree, type)) for the first type whose offsets are not general.
+    (degree, type)) for the first unmarked type whose offsets are not
+    general.
 
     fixed holds, per degree, its report when it is not searched (an
     inactive degree, or one _projection_note proves zero), else None.
-    The types of every searched degree with more than two ends go out as
-    one batch, degrees in order and types in unmarked_types order, so a
-    count makes one pool round trip per attempt.  Results are read
-    degree by degree, so a serial attempt stops after the first degree
-    that is not general.
+    The types of every searched degree, a two-ended degree's one line
+    among them, go out as one batch, degrees in order and types in
+    unmarked_types order, so a count makes one pool round trip per
+    attempt.  A batch of lines only, which no search solves, is mapped
+    in this process.  Results are read degree by degree, so a serial
+    attempt stops after the first degree that is not general.
     """
     constraints = tuple(constraints)
-    types = [unmarked_types(deg) if fix is None and deg.e > 2 else ()
+    types = [unmarked_types(deg) if fix is None else ()
              for deg, fix in zip(degrees, fixed)]
     tasks = [(comb, gens, constraints) for ts in types for comb, gens in ts]
-    if pool is None:
+    if pool is None or all(comb.degenerate for comb, _, _ in tasks):
         results = map(_count_type, tasks)
     else:
         results = pool.map(_count_type, tasks,
@@ -274,22 +268,16 @@ def _attempt(degrees, fixed, constraints, pool, workers):
         if fix is not None:
             reports.append(fix)
             continue
-        if deg.e == 2:
-            t = enumerate_types(deg, len(constraints))[0]
-            found = _count_degenerate(t, constraints)
-            if found is None:
-                return None, (deg, t)
-        else:
-            found, bad = [], None
-            # zip asks ts first, so it takes exactly this degree's results
-            for (comb, _), res in zip(ts, results):
-                if res is None:
-                    if bad is None:
-                        bad = comb
-                elif bad is None:
-                    found.extend(res)
-            if bad is not None:
-                return None, (deg, bad)
+        found, bad = [], None
+        # zip asks ts first, so it takes exactly this degree's results
+        for (comb, _), res in zip(ts, results):
+            if res is None:
+                if bad is None:
+                    bad = comb
+            elif bad is None:
+                found.extend(res)
+        if bad is not None:
+            return None, (deg, bad)
         reports.append(DegreeReport(
             deg, True, sum(c.multiplicity.total for c in found),
             tuple(found)))
@@ -303,8 +291,9 @@ def count_invariant(problem, seed=0, workers=1):
     constraint offsets, re-sampling (seed stream "seed:retry") until no
     type reports a non-general configuration, and sums multiplicities.
     workers > 1 runs the per-type searches in a process pool started
-    for this count.  An active degree that _projection_note proves zero
-    is decided once, before the first sample: it reports subtotal 0, no
+    for this count, which a batch of lines only never reaches (see
+    _attempt).  An active degree that _projection_note proves zero is
+    decided once, before the first sample: it reports subtotal 0, no
     curves and the note, and is never searched.  So offsets are checked
     for generality only on searched degrees, and fixed offsets that are
     special only for a skipped degree count instead of raising.  Raises

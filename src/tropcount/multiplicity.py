@@ -2,14 +2,17 @@
 
 The count weights every solution by the index of the evaluation map on
 the lattice of the type's moduli (the root and the integer bounded
-lengths), read off matching.incidence_rows, the edge_rows that the
-search was built from and the match solves, and corrected by
-per-marking lattice indices and bounded edge weights.  It equals the
+lengths), corrected by per-marking lattice indices and bounded edge
+weights.  The index is read off matching.incidence_rows, the edge_rows
+that the search was built from and the match solves, as the index of
+those rows in their saturation, the same way for every type.  On a type
+with vertices the rows are square, so the index is |det|; it equals the
 index of the map on vertex positions with a block of edge-class rows
 per bounded edge, as those rows map the positions onto Z^((n-1)*nb)
-with kernel exactly the root plus integer lengths.  In the
-plane the product is the classical vertex-determinant multiplicity,
-which is checked independently.
+with kernel exactly the root plus integer lengths.  On a two-ended line
+the rows vanish on its direction and number one fewer than the root's
+coordinates.  In the plane the product is the classical
+vertex-determinant multiplicity, which is checked independently.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 from .curves import edge_dir, edge_weight
 # quotient_map is unused here, but perfbench's tracer patches it by name
-from .lattice import bareiss_det, quotient_map, rank_int, saturation_index
+from .lattice import quotient_map, rank_int, saturation_index
 from .matching import incidence_rows
 
 
@@ -38,23 +41,18 @@ class Multiplicity:
 
 
 def d_index(t, constraints):
-    """Index of the evaluation map of a type with vertices: |det| of its
-    incidence rows over the root and the bounded lengths.  Zero
-    dimensionality of the count makes the rows square.  Returns |det|;
-    0 marks a non-general configuration.
+    """Index of the evaluation map of a marked type: the index of its
+    incidence rows over the root and the bounded lengths in their
+    saturation, or 0 when they are dependent (a non-general
+    configuration).  Zero dimensionality of the count gives e + n - 3
+    rows: square on a type with vertices, where the index is |det|, and
+    one fewer than the unknowns on a two-ended line, whose rows all
+    vanish on its direction.  Any other row count raises ValueError.
     """
-    if t.degenerate:
-        raise ValueError("d_index needs a type with at least one vertex")
     rows = incidence_rows(t, constraints)[0]
-    if len(rows) != t.n + len(t.bounded):
-        raise ValueError("index map is not square; dimensions are off")
-    return abs(bareiss_det(rows))
-
-
-def _line_index(t, constraints):
-    """Two-ended analogue of d_index: the index of the line's incidence
-    rows in their saturation, or 0 when they are dependent."""
-    rows = incidence_rows(t, constraints)[0]
+    if len(rows) != len(t.ends) + t.n - 3:
+        raise ValueError("index map has %d rows, not e + n - 3; dimensions "
+                         "are off" % len(rows))
     return saturation_index(rows) if rank_int(rows) == len(rows) else 0
 
 
@@ -75,10 +73,7 @@ def total_multiplicity(t, constraints):
     wprod = 1
     for b in t.bounded:
         wprod *= b[2]
-    if t.degenerate:
-        d = _line_index(t, constraints)
-    else:
-        d = d_index(t, constraints)
+    d = d_index(t, constraints)
     deltas = tuple(delta_index(t, i, c) for i, c in enumerate(constraints))
     total = wprod * d
     for dl in deltas:

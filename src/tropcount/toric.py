@@ -282,16 +282,12 @@ class RefinementCertificate:
 
 
 def make_certificate(cones):
-    out = []
-    for cone in cones:
-        entries = []
-        for entry in cone:
-            if isinstance(entry, int):
-                entries.append(entry)
-            else:
-                entries.append(tuple(map(as_int, entry)))
-        out.append(tuple(entries))
-    return RefinementCertificate(tuple(out))
+    """Build a RefinementCertificate from cones of ray indices and ray
+    vectors; a non-integer entry raises ValueError."""
+    return RefinementCertificate(tuple(
+        tuple(tuple(map(as_int, entry)) if isinstance(entry, (tuple, list))
+              else as_int(entry) for entry in cone)
+        for cone in cones))
 
 
 def _meet_in_common_face(fan, ca, cb, normals):

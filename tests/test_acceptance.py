@@ -172,7 +172,6 @@ def test_criterion_09_seed_independence():
         assert_subtotals_seed_independent(reports)
 
 
-@pytest.mark.long
 def test_criterion_09_seed_independence_long():
     reports = [flag3_report(1, 3, 4, seed, WORKERS) for seed in (1, 2, 3)]
     assert {rep.total for rep in reports} == {0}

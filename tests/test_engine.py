@@ -125,15 +125,15 @@ def recording_pool(calls):
 
 
 def test_one_pool_map_per_attempt(monkeypatch):
-    """Every type of every active degree with more than two ends goes
-    to the pool in one map per attempt, and the pool is shut once."""
+    """Every type of every searched degree goes to the pool in one map
+    per attempt, and the pool is shut once."""
     calls = {"maps": [], "shutdowns": 0}
     monkeypatch.setattr(engine, "ProcessPoolExecutor", recording_pool(calls))
     rep = engine.count_invariant(
         octahedron_problem(2, LINE_DISTRIBUTIONS[1]), seed=1, workers=2)
     assert rep.total == 3 and rep.genericity_retries == 0
     batched = [r.degree for r in rep.per_degree
-               if r.active and r.degree.e > 2 and not skipped(r)]
+               if r.active and not skipped(r)]
     types = sum(len(curves.unmarked_types(d)) for d in batched)
     assert types > len(batched) > 1
     assert calls == {"workers": 2, "maps": [types], "shutdowns": 1}
@@ -145,6 +145,45 @@ def test_one_pool_map_per_attempt(monkeypatch):
         seed=2, workers=2)
     assert rep.genericity_retries == 2
     assert calls == {"workers": 2, "maps": [1, 1, 1], "shutdowns": 1}
+
+
+def test_lines_are_counted_without_the_pool(monkeypatch):
+    """The searched degrees of octahedron class 1 through a point are
+    four lines: their batch never reaches the pool, and each curve
+    passes the independent check."""
+    calls = {"maps": [], "shutdowns": 0, "verified": 0}
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", recording_pool(calls))
+
+    def counted(*args):
+        calls["verified"] += 1
+        return verify_general(*args)
+
+    monkeypatch.setattr(engine, "verify_general", counted)
+    serial = engine.count_invariant(octahedron_problem(1, ((),)), seed=1)
+    assert serial.total == 4 and calls["verified"] == 4
+    assert all(c.type.degenerate for r in serial.per_degree
+               for c in r.curves)
+    parallel = engine.count_invariant(octahedron_problem(1, ((),)), seed=1,
+                                      workers=2)
+    assert report_without_run(parallel) == report_without_run(serial)
+    assert calls == {"workers": 2, "maps": [], "shutdowns": 1,
+                     "verified": 8}
+
+
+def test_fixed_offsets_special_for_a_line_name_its_unmarked_type():
+    """Two parallel line conditions at one height leave a line of
+    direction (1, 0, 0) a family of positions: the error names the
+    line's type without markings, as it does for a type with vertices."""
+    deg = curves.make_degree([((1, 0, 0), 1), ((-1, 0, 0), 1)])
+    prob = engine.Problem(n=3, degrees=(deg,),
+                          constraint_bases=(((0, 1, 0),), ((0, 1, 0),)),
+                          offsets=((0, 0, 0), (5, 5, 0)))
+    with pytest.raises(engine.GeneralPositionError) as info:
+        engine.count_invariant(prob)
+    ((line, _),) = curves.unmarked_types(deg)
+    assert str(info.value).endswith(
+        "at type %s" % json.dumps(engine.comb_type_to_json(line)))
+    assert '"markings": []' in str(info.value)
 
 
 def raise_in_worker(task):
@@ -528,9 +567,6 @@ def test_each_genericity_retry_is_logged(caplog, workers):
 def searched_directly(deg, constraints):
     """The curves of deg through constraints with every type searched
     through _count_type, or None when the offsets are not general."""
-    if deg.e == 2:
-        t = curves.enumerate_types(deg, len(constraints))[0]
-        return engine._count_degenerate(t, constraints)
     found = []
     for comb, gens in curves.unmarked_types(deg):
         res = engine._count_type((comb, gens, constraints))

@@ -405,12 +405,26 @@ def test_saturation_index_is_gcd_of_maximal_minors(seed, n, k):
                                   ((0, 1), 0), ((0, -1), 1)]), "1.5"),
     (lambda: curves.make_degree([((1, 0), 1.5), ((-1, 0), 1)]), "1.5"),
     (lambda: degrees.make_coarse(2, [((1, 0), 2.5), ((-1, 0), 2)]), "2.5"),
+    (lambda: toric.make_certificate([(0, 3.5, 1)]), "3.5"),
+    (lambda: curves.make_degree([((0.5, 0), 1), ((-0.5, 0), 1)]), "0.5"),
+    (lambda: degrees.make_coarse(2, [((4.5, 0), 1)]), "4.5"),
 ])
 def test_constructors_name_a_non_integer(build, value):
     """A non-integer entry raises, naming the value, where int() would
     have truncated it."""
     with pytest.raises(ValueError, match=r"^%s is not an integer$" % value):
         build()
+
+
+def test_constructors_read_an_integral_float_as_an_int():
+    deg = curves.make_degree([((1.0, 0), 1), ((-1, 0), 1.0)])
+    assert deg == curves.make_degree([((1, 0), 1), ((-1, 0), 1)])
+    assert all(type(x) is int for u, w in deg.entries for x in (*u, w))
+    assert degrees.make_coarse(2, [((1.0, 0), 2), ((-1, 0.0), 2)]) == \
+        degrees.make_coarse(2, [((1, 0), 2), ((-1, 0), 2)])
+    cert = toric.make_certificate([(0, 2.0, (1.0, 0))])
+    assert cert.simplicial_cones == ((0, 2, (1, 0)),)
+    assert all(type(x) is int for x in cert.simplicial_cones[0][:2])
 
 
 def test_as_int():

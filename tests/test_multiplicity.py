@@ -114,8 +114,14 @@ def test_delta_index_rejects_direction_in_span():
 
 def test_d_index_error_paths():
     t = degenerate_line([((1, 0, 0), 1), ((-1, 0, 0), 1)], (0,))
+    assert multiplicity.d_index(t, [matching.AffineConstraint((0, 0, 0))]) \
+        == 1
+    t = degenerate_line([((1, 0, 0), 1), ((-1, 0, 0), 1)], (0, 0))
     with pytest.raises(ValueError):
-        multiplicity.d_index(t, [matching.AffineConstraint((0, 0, 0))])
+        # a marking parallel to its span gives n rows, not n - 1
+        multiplicity.d_index(t, [
+            matching.AffineConstraint((0, 0, 0), ((1, 0, 0),)),
+            matching.AffineConstraint((0, 0, 0), ((0, 1, 0),))])
     ((line, _),) = curves.unmarked_types(degrees.plane_degree(1))
     line = replace(line, markings=(0,))
     with pytest.raises(ValueError):
@@ -209,22 +215,23 @@ def sampled_markings(rng):
 
 
 def test_index_from_incidence_rows_matches_oracles():
-    """d_index and the two-ended index read off the incidence rows equal
-    the vertex-position and Smith-complement indices they replaced."""
+    """d_index read off the incidence rows equals the vertex-position
+    index on a type with vertices and the Smith-complement index on a
+    two-ended line, the indices it replaced."""
     rng = random.Random(20)
-    seen = {"vertex": 0, "nonzero": 0, "line": 0, "dependent": 0}
+    seen = {"vertex": 0, "nonzero": 0, "line": 0, "parallel": 0}
     for t, cons in itertools.islice(sampled_markings(rng), 2800):
         if t.degenerate:
-            seen["line"] += 1
-            new = multiplicity._line_index(t, cons)
             try:
                 old = complement_line_index(t, cons)
             except ValueError:
-                # a marking parallel to its span adds a row, and n rows
-                # that vanish on the direction are dependent
-                seen["dependent"] += 1
-                assert new == 0
+                # a marking parallel to its span adds a row: n rows
+                seen["parallel"] += 1
+                with pytest.raises(ValueError):
+                    multiplicity.d_index(t, cons)
                 continue
+            seen["line"] += 1
+            new = multiplicity.d_index(t, cons)
         else:
             try:
                 old = vertex_position_index(t, cons)
