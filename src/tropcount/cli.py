@@ -7,10 +7,11 @@ a toric refinement certificate, and emit preset problem skeletons.
 
 import argparse
 import contextlib
+import decimal
 import json
 import sys
 
-from . import curves, engine, matching
+from . import curves, degrees, engine, matching
 
 
 def _load(path):
@@ -25,12 +26,21 @@ def _load(path):
                          % (path, exc.lineno, exc.colno, exc.msg)) from None
 
 
-def _emit(data, out=None):
+def _emit(data, out, command):
     """Write data as indented JSON and a newline, to the file out or
-    else to standard output, chunk by chunk rather than as one string."""
-    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fp:
-        json.dump(data, fp, sort_keys=True, indent=2)
-        fp.write("\n")
+    else to standard output, chunk by chunk rather than as one string.
+    Returns the exit status: 0, or 2 when out cannot be opened, after
+    one line naming the subcommand command and out."""
+    try:
+        fp = open(out, "w") if out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        print("tropcount %s: cannot write %s: %s"
+              % (command, out, exc.strerror), file=sys.stderr)
+        return 2
+    with fp as stream:
+        json.dump(data, stream, sort_keys=True, indent=2)
+        stream.write("\n")
+    return 0
 
 
 def _cmd_count(args):
@@ -50,8 +60,7 @@ def _cmd_count(args):
     except (ValueError, engine.GeneralPositionError) as exc:
         print("tropcount count: %s" % exc, file=sys.stderr)
         return 2
-    _emit(engine.report_to_json(report), args.out)
-    return 0
+    return _emit(engine.report_to_json(report), args.out, "count")
 
 
 def _cmd_types(args):
@@ -64,9 +73,8 @@ def _cmd_types(args):
         return 2
     out = [engine.comb_type_to_json(t)
            for t in curves.enumerate_types(deg, args.marks)]
-    _emit({"degree": engine.degree_to_json(deg), "marks": args.marks,
-           "count": len(out), "types": out}, args.out)
-    return 0
+    return _emit({"degree": engine.degree_to_json(deg), "marks": args.marks,
+                  "count": len(out), "types": out}, args.out, "types")
 
 
 def _cmd_constraints(args):
@@ -77,14 +85,20 @@ def _cmd_constraints(args):
         print("tropcount constraints: %s" % exc, file=sys.stderr)
         return 2
     cons = matching.generate_constraints(rank, bases, args.seed, bound)
-    _emit({"constraints": [{"offset": list(c.offset),
-                            "basis": [list(v) for v in c.basis]}
-                           for c in cons]}, args.out)
-    return 0
+    return _emit({"constraints": [{"offset": list(c.offset),
+                                   "basis": [list(v) for v in c.basis]}
+                                  for c in cons]}, args.out, "constraints")
 
 
 def _cmd_oracle(args):
-    print(engine.kontsevich_oracle(args.plane_degree))
+    try:
+        value = engine.kontsevich_oracle(args.plane_degree)
+    except ValueError as exc:
+        print("tropcount oracle: --plane-degree: %s" % exc, file=sys.stderr)
+        return 2
+    # str() of an int refuses more than sys.get_int_max_str_digits()
+    # digits; a Decimal made from it prints every digit
+    print(decimal.Decimal(value))
     return 0
 
 
@@ -98,18 +112,19 @@ def _cmd_toric_verify(args):
         print("tropcount toric verify: %s" % exc, file=sys.stderr)
         return 2
     ok, report = toric.verify_small_resolution(fan, cert)
-    _emit({"ok": ok, "report": report}, args.out)
+    if _emit({"ok": ok, "report": report}, args.out, "toric verify"):
+        return 2
     return 0 if ok else 1
 
 
 def _preset_problem(kind, cls):
-    from . import degrees  # not needed to start the command line
-
-    # in rank 3 a class with e ends meets e + n - 3 = e codimensions of
-    # conditions, and each point has codimension 2
-    npts = degrees.end_count(engine.PRESET_FACETS[kind], cls) // 2
+    facets = degrees.FACET_TABLES[kind]
+    n = len(facets[0][0])
+    # a class with e ends meets e + n - 3 codimensions of conditions, and
+    # each point has codimension n - 1
+    npts = (degrees.end_count(facets, cls) + n - 3) // (n - 1)
     return {
-        "rank": 3,
+        "rank": n,
         "degree_source": {"kind": kind,
                           "class": cls if len(cls) > 1 else cls[0]},
         "constraints": {"kind": "generate", "bases": [[] for _ in range(npts)]},
@@ -124,8 +139,7 @@ def _cmd_preset(args):
     except ValueError as exc:
         print("tropcount preset: bad class: %s" % exc, file=sys.stderr)
         return 2
-    _emit(data, args.out)
-    return 0
+    return _emit(data, args.out, "preset")
 
 
 def build_parser():
@@ -169,9 +183,10 @@ def build_parser():
     v.set_defaults(func=_cmd_toric_verify)
 
     pre = sub.add_parser("preset", help="emit a preset problem skeleton")
-    pre.add_argument("preset", choices=("flag3", "octahedron"))
+    pre.add_argument("preset", choices=sorted(degrees.FACET_TABLES))
     pre.add_argument("--class", dest="cls", required=True,
-                     help="S,T for flag3, A for octahedron")
+                     help="the class: one nonnegative integer per class "
+                          "parameter of the table, comma-separated")
     pre.add_argument("--out")
     pre.set_defaults(func=_cmd_preset)
     return p

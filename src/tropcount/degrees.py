@@ -2,11 +2,11 @@
 
 A coarse degree records, per primitive direction, the total weight of all
 ends pointing that way.  Curve classes enter as integer linear constraints
-on these ray totals.  For a toric degeneration given by a facet table of
-its moment polytope (GC3_FACETS for the flag threefold, OCTAHEDRON_FACETS
-for X_{2,2} in P^5), class_degree_set reads the rays, the class functionals
-and the number of ends off the table; toric builds the polytopes from
-the same tables.
+on these ray totals.  A family with a toric degeneration enters as one
+facet table of its moment polytope, registered in FACET_TABLES under the
+degree_source kind that names it: class_degree_set reads the rays, the
+class functionals and the number of ends off the table, and
+toric.table_polytope builds the polytope from the same table.
 """
 
 from dataclasses import dataclass
@@ -15,30 +15,31 @@ from operator import mul
 from .curves import make_degree
 from .lattice import as_int, is_zero, primitive, solve_rational
 
-# Facet tables of the built-in families: per facet, its inward normal
-# and the coefficients of its constant in the class parameters.  The
-# rays and classes of curves are read off the same tables
-# (class_degree_set), and toric.builtin_gc3 and toric.builtin_octahedron
-# evaluate them.
-GC3_FACETS = (
-    ((0, -1, 0), (1, 1)),
-    ((0, 1, 0), (-1, 0)),
-    ((-1, 0, 0), (1, 0)),
-    ((1, 0, 0), (0, 0)),
-    ((0, 1, -1), (0, 0)),
-    ((-1, 0, 1), (0, 0)),
-)
-
-OCTAHEDRON_FACETS = (
-    ((0, 1, 1), (0,)),
-    ((-1, 0, 0), (1,)),
-    ((0, -1, 0), (1,)),
-    ((1, 0, 1), (0,)),
-    ((0, 1, 0), (0,)),
-    ((-1, 0, -1), (1,)),
-    ((0, -1, -1), (1,)),
-    ((1, 0, 0), (0,)),
-)
+# The facet tables of the families, by the degree_source kind that
+# names them: per facet, its inward normal and the coefficients of its
+# constant in the class parameters.  The first is the degree-three
+# Gelfand-Cetlin polytope of the flag threefold, the second the moment
+# polytope of the X_{2,2} in P^5 degeneration.
+FACET_TABLES = {
+    "flag3": (
+        ((0, -1, 0), (1, 1)),
+        ((0, 1, 0), (-1, 0)),
+        ((-1, 0, 0), (1, 0)),
+        ((1, 0, 0), (0, 0)),
+        ((0, 1, -1), (0, 0)),
+        ((-1, 0, 1), (0, 0)),
+    ),
+    "octahedron": (
+        ((0, 1, 1), (0,)),
+        ((-1, 0, 0), (1,)),
+        ((0, -1, 0), (1,)),
+        ((1, 0, 1), (0,)),
+        ((0, 1, 0), (0,)),
+        ((-1, 0, -1), (1,)),
+        ((0, -1, -1), (1,)),
+        ((1, 0, 0), (0,)),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -210,7 +211,7 @@ def end_count(facets, cls):
 def class_degree_set(facets, cls):
     """Every coarse degree of class cls for a facet table, which lists
     (inward normal, coefficients of its constant in the class
-    parameters) per facet (see GC3_FACETS).
+    parameters) per facet (see FACET_TABLES).
 
     The rays are the outward normals.  Functional i takes a ray to
     coefficient i of its facet's constant; a member meets it at cls[i]

@@ -26,7 +26,6 @@ from . import _kernel
 from . import degrees as degmod
 from .curves import (CombType, Degree, edge_count, make_degree, orbit_min,
                      path_signs, unmarked_types)
-from .degrees import GC3_FACETS, OCTAHEDRON_FACETS
 # quotient_map is unused here, but perfbench's tracer patches it by name
 from .lattice import quotient_map, rank_int
 from .matching import (NON_GENERAL, UNIQUE, AffineConstraint, check_basis,
@@ -240,25 +239,23 @@ def _projection_note(deg, bases):
     return ""
 
 
-def _attempt(degrees, fixed, constraints, pool, workers):
+def _attempt(degrees, fixed, types, constraints, pool, workers):
     """(degree reports, None) for one sample of offsets, or (None,
     (degree, type)) for the first unmarked type whose offsets are not
     general.
 
     fixed holds, per degree, its report when it is not searched (an
-    inactive degree, or one _projection_note proves zero), else None.
-    The types of every searched degree, a two-ended degree's one line
-    among them, go out as one batch, degrees in order and types in
-    unmarked_types order, so a count makes one pool round trip per
-    attempt.  A batch of lines only, which no search solves, is mapped
-    in this process.  Results are read degree by degree, so a serial
+    inactive degree, or one _projection_note proves zero), else None;
+    types holds, per degree, the unmarked types to search.  The types of
+    every searched degree, a two-ended degree's one line among them, go
+    out as one batch, degrees in order and types in unmarked_types
+    order, so a count makes one pool round trip per attempt, or none
+    when pool is None.  Results are read degree by degree, so a serial
     attempt stops after the first degree that is not general.
     """
     constraints = tuple(constraints)
-    types = [unmarked_types(deg) if fix is None else ()
-             for deg, fix in zip(degrees, fixed)]
     tasks = [(comb, gens, constraints) for ts in types for comb, gens in ts]
-    if pool is None or all(comb.degenerate for comb, _, _ in tasks):
+    if pool is None:
         results = map(_count_type, tasks)
     else:
         results = pool.map(_count_type, tasks,
@@ -291,8 +288,8 @@ def count_invariant(problem, seed=0, workers=1):
     constraint offsets, re-sampling (seed stream "seed:retry") until no
     type reports a non-general configuration, and sums multiplicities.
     workers > 1 runs the per-type searches in a process pool started
-    for this count, which a batch of lines only never reaches (see
-    _attempt).  An active degree that _projection_note proves zero is
+    for this count, unless every searched type is a line, which needs
+    no search.  An active degree that _projection_note proves zero is
     decided once, before the first sample: it reports subtotal 0, no
     curves and the note, and is never searched.  So offsets are checked
     for generality only on searched degrees, and fixed offsets that are
@@ -331,14 +328,17 @@ def count_invariant(problem, seed=0, workers=1):
             fixed.append(DegreeReport(deg, True, 0, (), note) if note
                          else None)
 
+    types = [unmarked_types(deg) if fix is None else ()
+             for deg, fix in zip(problem.degrees, fixed)]
     pool = None
     try:
-        if workers > 1:
+        if workers > 1 and not all(comb.degenerate
+                                   for ts in types for comb, _ in ts):
             pool = ProcessPoolExecutor(max_workers=workers)
         for retry in range(MAX_RETRIES):
             constraints = _constraints_for(problem, seed, retry)
-            reports, bad = _attempt(problem.degrees, fixed, constraints,
-                                    pool, workers)
+            reports, bad = _attempt(problem.degrees, fixed, types,
+                                    constraints, pool, workers)
             if bad is None:
                 return CountReport(
                     total=sum(r.subtotal for r in reports),
@@ -364,21 +364,18 @@ def count_invariant(problem, seed=0, workers=1):
             pool.shutdown()
 
 
-@lru_cache(maxsize=None)
 def kontsevich_oracle(d):
-    """Rational plane curves of degree d through 3d-1 general points."""
+    """Rational plane curves of degree d through 3d-1 general points, by
+    Kontsevich's recursion, built up from N_1 = 1 without recursing."""
     if d < 1:
-        raise ValueError("degree must be positive")
-    if d == 1:
-        return 1
-    total = 0
-    for d1 in range(1, d):
-        d2 = d - d1
-        total += (kontsevich_oracle(d1) * kontsevich_oracle(d2)
-                  * d1 * d1 * d2
-                  * (d2 * comb(3 * d - 4, 3 * d1 - 2)
-                     - d1 * comb(3 * d - 4, 3 * d1 - 1)))
-    return total
+        raise ValueError("degree must be positive, not %d" % d)
+    n = [0, 1]
+    for k in range(2, d + 1):
+        n.append(sum(n[k1] * n[k - k1] * k1 * k1 * (k - k1)
+                     * ((k - k1) * comb(3 * k - 4, 3 * k1 - 2)
+                        - k1 * comb(3 * k - 4, 3 * k1 - 1))
+                     for k1 in range(1, k)))
+    return n[d]
 
 
 def _frac_str(q):
@@ -466,10 +463,6 @@ def _coarse_from_json(data, where):
         raise ValueError("%s: %s" % (where, exc)) from None
 
 
-# preset degree_source kinds, by the facet table whose classes they name
-PRESET_FACETS = {"flag3": GC3_FACETS, "octahedron": OCTAHEDRON_FACETS}
-
-
 @lru_cache(maxsize=None)
 def _preset_degrees(kind, cls, max_weight):
     """The refined degrees of a preset class, expanded once per process.
@@ -477,13 +470,13 @@ def _preset_degrees(kind, cls, max_weight):
     alike, so a lookup before the check would let a cached valid class
     answer a malformed one."""
     return degmod.degree_set_degrees(
-        degmod.class_degree_set(PRESET_FACETS[kind], cls), max_weight)
+        degmod.class_degree_set(degmod.FACET_TABLES[kind], cls), max_weight)
 
 
 def _degrees_from_source(src):
     kind = _field(src, "kind", "degree_source")
     # compared, not hashed: a kind may be any JSON value
-    if kind not in ("explicit", "coarse", *PRESET_FACETS):
+    if kind not in ("explicit", "coarse", *degmod.FACET_TABLES):
         raise ValueError("unknown degree_source kind %r" % (kind,))
     if kind == "explicit":
         degrees = _list(_field(src, "degrees", "degree_source"),
@@ -493,11 +486,11 @@ def _degrees_from_source(src):
     max_weight = src.get("max_weight")
     if max_weight is not None:
         _int(max_weight, "degree_source.max_weight", 1)
-    if kind in PRESET_FACETS:
+    if kind in degmod.FACET_TABLES:
         cls = _field(src, "class", "degree_source")
         cls = cls if isinstance(cls, list) else [cls]
         try:
-            degmod.check_class(PRESET_FACETS[kind], cls)
+            degmod.check_class(degmod.FACET_TABLES[kind], cls)
         except ValueError as exc:
             raise ValueError("degree_source.%s" % exc) from None
         return _preset_degrees(kind, tuple(cls), max_weight)
@@ -543,8 +536,8 @@ def constraint_spec_from_json(data):
 def problem_from_json(data):
     """Build a Problem from the schema {rank, degree_source, constraints}.
 
-    degree_source kinds: explicit degree list, flag3 ([s, t]) or
-    octahedron (a) preset classes, or a coarse degree set; preset and
+    degree_source kinds: explicit degree list, a coarse degree set, or
+    a key of degrees.FACET_TABLES with a class of its table; preset and
     coarse sources expand through refinement.  constraints kinds:
     generate (offsets drawn from the seed) or explicit (fixed offsets,
     one per basis, each of length rank).  options odd_insertions and

@@ -15,7 +15,6 @@ from functools import cached_property
 from itertools import combinations
 from operator import mul
 
-from .degrees import GC3_FACETS, OCTAHEDRON_FACETS
 from .engine import _field, _int, _ints, _list
 from .lattice import (as_int, bareiss_det, int_matrix_inverse, is_zero,
                       primitive, rank_int, solve_rational)
@@ -394,22 +393,13 @@ def verify_small_resolution(fan, cert):
     return ok, report
 
 
-def _table_polytope(facets, lam):
-    """The polytope of a facet table with every parameter equal to lam."""
+def table_polytope(facets, lam):
+    """The polytope of a facet table (see degrees.FACET_TABLES) with
+    every class parameter equal to lam > 0."""
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError("need lam > 0")
     return make_polytope([(a, lam * sum(coef)) for a, coef in facets])
-
-
-def builtin_gc3(lam):
-    """Degree-three Gelfand-Cetlin polytope, spacing parameter lam."""
-    return _table_polytope(GC3_FACETS, lam)
-
-
-def builtin_octahedron(lam):
-    """Octahedral moment polytope of the X_{2,2} in P^5 degeneration."""
-    return _table_polytope(OCTAHEDRON_FACETS, lam)
 
 
 def fan_from_json(data):

@@ -11,7 +11,7 @@ from functools import lru_cache
 import pytest
 
 from oracles import check_balanced, mikhalkin_multiplicity, validate_type
-from test_toric import split_square_cones
+from test_toric import split_square_cones, table_fan
 from tropcount import curves, degrees, engine, toric
 
 WORKERS = 8
@@ -180,7 +180,7 @@ def test_criterion_09_seed_independence_long():
 
 def test_criterion_10_small_resolution_certificates():
     t0 = time.perf_counter()
-    gc3_fan = toric.normal_fan(toric.builtin_gc3(1))
+    gc3_fan = table_fan("flag3")
     for pick_first in (True, False):
         cert = split_square_cones(gc3_fan, pick_first)
         square_pieces = [c for c in cert.simplicial_cones
@@ -189,7 +189,7 @@ def test_criterion_10_small_resolution_certificates():
         ok, report = toric.verify_small_resolution(gc3_fan, cert)
         assert ok, report
 
-    octa_fan = toric.normal_fan(toric.builtin_octahedron(1))
+    octa_fan = table_fan("octahedron")
     cert = split_square_cones(octa_fan)
     assert len(cert.simplicial_cones) == 12
     ok, report = toric.verify_small_resolution(octa_fan, cert)

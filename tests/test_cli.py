@@ -3,7 +3,9 @@
 import contextlib
 import copy
 import io
+import inspect
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_degrees import OCTAHEDRON_PAIRS
-from tropcount import cli, degrees, engine, toric
+from tropcount import cli, degrees, engine
 
 
 def write(path, data):
@@ -59,6 +61,32 @@ def test_preset_count_octahedron(tmp_path):
     rep = read(out)
     assert rep["total"] == 4
     assert sum(1 for r in rep["per_degree"] if r["active"]) == 4
+
+
+# the total of each registered table's all-ones class through points at
+# seed 1; a table added to degrees.FACET_TABLES fails until pinned here
+ALL_ONES_TOTALS = {"flag3": 1, "octahedron": 4}
+
+
+@pytest.mark.parametrize("kind", sorted(degrees.FACET_TABLES))
+def test_preset_serves_every_table(tmp_path, kind):
+    """The skeleton of the all-ones class has the table's rank and
+    (e + n - 3) / (n - 1) point conditions for e ends in rank n, and
+    counts to the pinned total."""
+    facets = degrees.FACET_TABLES[kind]
+    n, ones = len(facets[0][0]), [1] * len(facets[0][1])
+    prob = tmp_path / "problem.json"
+    out = tmp_path / "report.json"
+    assert cli.main(["preset", kind, "--class", ",".join(map(str, ones)),
+                     "--out", str(prob)]) == 0
+    data = read(prob)
+    assert data["rank"] == n
+    codim = degrees.end_count(facets, ones) + n - 3
+    assert codim % (n - 1) == 0
+    assert data["constraints"]["bases"] == [[]] * (codim // (n - 1))
+    assert cli.main(["count", "--problem", str(prob), "--seed", "1",
+                     "--out", str(out)]) == 0
+    assert read(out)["total"] == ALL_ONES_TOTALS[kind]
 
 
 @pytest.mark.parametrize("preset, cls", [("flag3", "0,0"), ("flag3", "2,-1"),
@@ -335,10 +363,35 @@ def test_oracle_prints_value(capsys):
     assert capsys.readouterr().out.strip() == "12"
 
 
-def fan_files(tmp_path, break_cert=False):
-    from test_toric import split_square_cones
+@pytest.mark.parametrize("degree", ["0", "-3"])
+def test_oracle_degree_below_one_exits_2(capsys, degree):
+    assert cli.main(["oracle", "--plane-degree", degree]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "degree must be positive" in err
+    assert err.startswith("tropcount oracle: --plane-degree: ")
 
-    fan = toric.normal_fan(toric.builtin_octahedron(1))
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on int to str conversion")
+def test_oracle_prints_a_long_value(capsys):
+    """N_120 has 654 digits: printed in full under a digit limit of 640
+    (the least allowed) and a recursion limit that leaves 50 frames."""
+    digits, depth = sys.get_int_max_str_digits(), sys.getrecursionlimit()
+    sys.set_int_max_str_digits(640)
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        assert cli.main(["oracle", "--plane-degree", "120"]) == 0
+    finally:
+        sys.set_int_max_str_digits(digits)
+        sys.setrecursionlimit(depth)
+    out = capsys.readouterr().out
+    assert out == "%d\n" % engine.kontsevich_oracle(120) and len(out) == 655
+
+
+def fan_files(tmp_path, break_cert=False):
+    from test_toric import split_square_cones, table_fan
+
+    fan = table_fan("octahedron")
     cones = list(split_square_cones(fan).simplicial_cones)
     if break_cert:
         cones[-1] = (cones[-1][0], cones[-1][1], (9, 9, 9))
@@ -394,6 +447,33 @@ def test_toric_verify_bad_input_exits_2(tmp_path, capsys, which, data,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and named in err
     assert err.startswith("tropcount toric verify: ")
+
+
+@pytest.mark.parametrize("bad", ["missing/out.json", "."])
+@pytest.mark.parametrize("command", [
+    "count", "types", "constraints", "toric verify", "preset"])
+def test_unopenable_out_exits_2(tmp_path, monkeypatch, capsys, command,
+                                bad):
+    """An --out in a missing directory, or a directory, is one line
+    naming it and exit 2, in every subcommand that writes a file."""
+    monkeypatch.chdir(tmp_path)
+    fanfile, certfile = fan_files(tmp_path)
+    argv = {
+        "count": ["count", "--problem", write(tmp_path / "p.json",
+                                              plane_line())],
+        "types": ["types", "--marks", "1", "--degree", write(
+            tmp_path / "d.json",
+            engine.degree_to_json(degrees.plane_degree(1)))],
+        "constraints": ["constraints", "--spec", write(
+            tmp_path / "s.json", {"rank": 2, "bases": [[]]})],
+        "toric verify": ["toric", "verify", "--fan", fanfile,
+                         "--cert", certfile],
+        "preset": ["preset", "flag3", "--class", "1,1"],
+    }[command]
+    assert cli.main(argv + ["--out", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("tropcount %s: cannot write %s: " % (command, bad))
 
 
 def test_missing_subcommand_errors():

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import check_balanced, validate_type
-from tropcount import curves, degrees, toric
+from tropcount import curves, degrees
 from tropcount.lattice import primitive
 
 
@@ -65,9 +65,10 @@ def labeled_unmarked_types(deg):
 
 def suite_degrees():
     """Every refined degree with 3 <= e <= 8 of the suite's classes."""
-    sets = [degrees.class_degree_set(toric.GC3_FACETS, cls)
+    tables = degrees.FACET_TABLES
+    sets = [degrees.class_degree_set(tables["flag3"], cls)
             for cls in ((1, 1), (1, 2), (2, 1), (1, 3))]
-    sets += [degrees.class_degree_set(toric.OCTAHEDRON_FACETS, (a,))
+    sets += [degrees.class_degree_set(tables["octahedron"], (a,))
              for a in (1, 2, 3)]
     degs = [degrees.plane_degree(d) for d in (1, 2)]
     for ds in sets:

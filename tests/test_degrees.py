@@ -85,6 +85,9 @@ def test_plane_degree():
         degrees.plane_degree(0)
 
 
+FLAG3 = degrees.FACET_TABLES["flag3"]
+OCTAHEDRON = degrees.FACET_TABLES["octahedron"]
+
 # The closed form, the compositions and the offset rule that the flag3
 # and octahedron degree sets were once written with, kept as oracles for
 # the sets read off the facet tables.
@@ -141,11 +144,11 @@ def octahedron_offset_rule(a):
 
 
 def flag3_set(s, t):
-    return degrees.class_degree_set(toric.GC3_FACETS, (s, t))
+    return degrees.class_degree_set(FLAG3, (s, t))
 
 
 def octahedron_set(a):
-    return degrees.class_degree_set(toric.OCTAHEDRON_FACETS, (a,))
+    return degrees.class_degree_set(OCTAHEDRON, (a,))
 
 
 def test_flag3_sets_match_closed_form():
@@ -200,33 +203,31 @@ def test_octahedron_class_set_extras_at_two():
         assert rank_int([v for v, _ in cd.values]) == 3
 
 
-@pytest.mark.parametrize("facets, polytope", [
-    (toric.GC3_FACETS, toric.builtin_gc3(1)),
-    (toric.OCTAHEDRON_FACETS, toric.builtin_octahedron(1)),
-])
-def test_table_rays_are_the_negated_normal_fan(facets, polytope):
+@pytest.mark.parametrize("kind", sorted(degrees.FACET_TABLES))
+def test_table_rays_are_the_negated_normal_fan(kind):
+    facets = degrees.FACET_TABLES[kind]
     outward = sorted(tuple(-x for x in a) for a, _ in facets)
-    fan = toric.normal_fan(polytope)
+    fan = toric.normal_fan(toric.table_polytope(facets, 1))
     assert outward == sorted(tuple(-x for x in r) for r in fan.rays)
 
 
 def test_end_counts():
     for s, t in itertools.product(range(4), repeat=2):
         if (s, t) != (0, 0):
-            assert degrees.end_count(toric.GC3_FACETS, (s, t)) == 2 * s + 2 * t
+            assert degrees.end_count(FLAG3, (s, t)) == 2 * s + 2 * t
     for a in range(1, 5):
-        assert degrees.end_count(toric.OCTAHEDRON_FACETS, (a,)) == 2 * a
+        assert degrees.end_count(OCTAHEDRON, (a,)) == 2 * a
 
 
 @pytest.mark.parametrize("facets, cls", [
-    (toric.GC3_FACETS, (-1, 0)),
-    (toric.GC3_FACETS, (0, 0)),
-    (toric.GC3_FACETS, (1,)),
-    (toric.GC3_FACETS, (1, 1, 1)),
-    (toric.GC3_FACETS, (1.0, 1)),
-    (toric.GC3_FACETS, (True, 0)),
-    (toric.OCTAHEDRON_FACETS, (0,)),
-    (toric.OCTAHEDRON_FACETS, (-2,)),
+    (FLAG3, (-1, 0)),
+    (FLAG3, (0, 0)),
+    (FLAG3, (1,)),
+    (FLAG3, (1, 1, 1)),
+    (FLAG3, (1.0, 1)),
+    (FLAG3, (True, 0)),
+    (OCTAHEDRON, (0,)),
+    (OCTAHEDRON, (-2,)),
 ])
 def test_bad_class_is_rejected(facets, cls):
     with pytest.raises(ValueError, match="class must be"):
@@ -235,7 +236,7 @@ def test_bad_class_is_rejected(facets, cls):
 
 def test_table_without_unique_anticanonical_solution_is_rejected():
     # two parameters that enter every facet alike
-    doubled = tuple((a, coef * 2) for a, coef in toric.OCTAHEDRON_FACETS)
+    doubled = tuple((a, coef * 2) for a, coef in OCTAHEDRON)
     with pytest.raises(ValueError, match="facet table"):
         degrees.end_count(doubled, (1, 1))
 

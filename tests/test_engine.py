@@ -1,7 +1,9 @@
 """Counting engine: axioms, oracle, JSON schemas, lanes, regressions."""
 
 import ast
+import functools
 import importlib.util
+import inspect
 import itertools
 import json
 import logging
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropcount import _kernel, curves, degrees, engine, matching, toric
+from tropcount import _kernel, curves, degrees, engine, matching
 from tropcount._kernel import pure
 from tropcount.lattice import bareiss_det, saturation_index, solve_rational
 from tropcount.matching import (NON_GENERAL, NONE, UNIQUE, AffineConstraint,
@@ -27,7 +29,7 @@ from tropcount.multiplicity import Multiplicity
 
 
 def octahedron_set(a):
-    return degrees.class_degree_set(toric.OCTAHEDRON_FACETS, (a,))
+    return degrees.class_degree_set(degrees.FACET_TABLES["octahedron"], (a,))
 
 
 def octahedron_problem(a, bases, **kw):
@@ -40,6 +42,28 @@ def test_kontsevich_oracle():
         [1, 1, 12, 620, 87304]
     with pytest.raises(ValueError):
         engine.kontsevich_oracle(0)
+
+
+@functools.lru_cache(maxsize=None)
+def recursive_oracle(d):
+    """Kontsevich's recursion for N_d, as written."""
+    return 1 if d == 1 else sum(
+        recursive_oracle(d1) * recursive_oracle(d - d1) * d1 * d1 * (d - d1)
+        * ((d - d1) * math.comb(3 * d - 4, 3 * d1 - 2)
+           - d1 * math.comb(3 * d - 4, 3 * d1 - 1)) for d1 in range(1, d))
+
+
+def test_kontsevich_oracle_does_not_recurse():
+    """The oracle builds N_1 ... N_d bottom-up, so at a recursion limit
+    that leaves 50 frames it answers degree 120, which the recursion as
+    written (run first at the default limit) needs 120 frames for."""
+    expected = recursive_oracle(120)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        assert engine.kontsevich_oracle(120) == expected
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_odd_insertion_short_circuit():
@@ -149,7 +173,7 @@ def test_one_pool_map_per_attempt(monkeypatch):
 
 def test_lines_are_counted_without_the_pool(monkeypatch):
     """The searched degrees of octahedron class 1 through a point are
-    four lines: their batch never reaches the pool, and each curve
+    four lines: no search needs a pool, so none is made, and each curve
     passes the independent check."""
     calls = {"maps": [], "shutdowns": 0, "verified": 0}
     monkeypatch.setattr(engine, "ProcessPoolExecutor", recording_pool(calls))
@@ -166,8 +190,18 @@ def test_lines_are_counted_without_the_pool(monkeypatch):
     parallel = engine.count_invariant(octahedron_problem(1, ((),)), seed=1,
                                       workers=2)
     assert report_without_run(parallel) == report_without_run(serial)
-    assert calls == {"workers": 2, "maps": [], "shutdowns": 1,
-                     "verified": 8}
+    assert calls == {"maps": [], "shutdowns": 0, "verified": 8}
+
+
+def test_a_count_that_searches_no_degree_makes_no_pool(monkeypatch):
+    """Every active degree of flag3 (1,3) through 4 points is proved zero
+    unsearched, so a count at workers 2 makes no pool."""
+    calls = {"maps": [], "shutdowns": 0}
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", recording_pool(calls))
+    rep = engine.count_invariant(flag3_problem(1, 3), seed=1, workers=2)
+    assert rep.total == 0 and rep.workers == 2
+    assert all(skipped(r) for r in rep.per_degree if r.active)
+    assert calls == {"maps": [], "shutdowns": 0}
 
 
 def test_fixed_offsets_special_for_a_line_name_its_unmarked_type():
@@ -352,9 +386,10 @@ def test_compiled_kernel_is_available():
 def test_pure_lane_subprocess_matches():
     script = (
         "import json\n"
-        "from tropcount import _kernel, degrees, engine, toric\n"
+        "from tropcount import _kernel, degrees, engine\n"
         "degs = degrees.degree_set_degrees(\n"
-        "    degrees.class_degree_set(toric.OCTAHEDRON_FACETS, (1,)))\n"
+        "    degrees.class_degree_set(degrees.FACET_TABLES['octahedron'],\n"
+        "                             (1,)))\n"
         "prob = engine.Problem(n=3, degrees=degs, constraint_bases=((),))\n"
         "rep = engine.count_invariant(prob, seed=3)\n"
         "print(json.dumps({'kernel': rep.kernel, 'total': rep.total}))\n")
@@ -404,7 +439,7 @@ def test_problem_json_sources():
         "degree_source": {"kind": "flag3", "class": [1, 1]},
         "constraints": {"kind": "generate", "bases": [[], []]},
     })
-    ds = degrees.class_degree_set(toric.GC3_FACETS, (1, 1))
+    ds = degrees.class_degree_set(degrees.FACET_TABLES["flag3"], (1, 1))
     assert flag.degrees == degrees.degree_set_degrees(ds)
 
     octa = engine.problem_from_json({

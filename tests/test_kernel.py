@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropcount import _kernel, curves, degrees, engine, lattice, toric
+from tropcount import _kernel, curves, degrees, engine, lattice
 from tropcount._kernel import build, pure
 from tropcount.matching import AffineConstraint
 
@@ -34,7 +34,7 @@ def small_degrees():
     one list per degree."""
     degs = [degrees.plane_degree(2)]
     degs += degrees.degree_set_degrees(
-        degrees.class_degree_set(toric.GC3_FACETS, (1, 2)))
+        degrees.class_degree_set(degrees.FACET_TABLES["flag3"], (1, 2)))
     return [[(deg.n, comb) for comb, _ in curves.unmarked_types(deg)]
             for deg in degs
             if deg.e <= 6 and (deg.n + deg.e - 3) % (deg.n - 1) == 0]
@@ -165,7 +165,7 @@ def mixed_types():
     """Types of octahedron class 2 whose system against one point and
     two lines is square."""
     degs = degrees.degree_set_degrees(
-        degrees.class_degree_set(toric.OCTAHEDRON_FACETS, (2,)))
+        degrees.class_degree_set(degrees.FACET_TABLES["octahedron"], (2,)))
     return [comb for deg in degs if deg.e == 4
             for comb, _ in curves.unmarked_types(deg)]
 
@@ -289,7 +289,7 @@ def test_inputs_match_the_reference_builder():
     order of the distribution and reversed."""
     rng = random.Random(11)
     degs = (degrees.plane_degree(2),) + degrees.degree_set_degrees(
-        degrees.class_degree_set(toric.GC3_FACETS, (1, 2)))
+        degrees.class_degree_set(degrees.FACET_TABLES["flag3"], (1, 2)))
     cases = [([(deg.n, comb) for comb, _ in curves.unmarked_types(deg)],
               [()] * ((deg.n + deg.e - 3) // (deg.n - 1)))
              for deg in degs]

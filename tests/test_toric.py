@@ -5,8 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from tropcount import toric
+from tropcount import degrees, toric
 from tropcount.lattice import bareiss_det
+
+
+def table_polytope(kind, lam):
+    return toric.table_polytope(degrees.FACET_TABLES[kind], lam)
+
+
+def table_fan(kind, lam=1):
+    """The normal fan of a registered facet table's polytope."""
+    return toric.normal_fan(table_polytope(kind, lam))
 
 
 def vec_add(a, b):
@@ -123,18 +132,18 @@ def test_fan_validation():
 
 
 def test_builtin_gc3():
-    p = toric.builtin_gc3(1)
+    p = table_polytope("flag3", 1)
     assert len(p.vertices) == 7
     assert (1, 1, 1) in p.vertices
     f = toric.normal_fan(p)
     assert len(f.rays) == 6
     assert sorted(len(c) for c in f.cones) == [3, 3, 3, 3, 3, 3, 4]
     with pytest.raises(ValueError):
-        toric.builtin_gc3(0)
+        table_polytope("flag3", 0)
 
 
 def test_builtin_octahedron():
-    p = toric.builtin_octahedron(1)
+    p = table_polytope("octahedron", 1)
     assert p.vertices == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0),
                           (1, 1, -1), (1, 1, 0))
     f = toric.normal_fan(p)
@@ -148,11 +157,11 @@ def test_builtin_octahedron():
             vec_add(a, c) == vec_add(b, d) or \
             vec_add(a, d) == vec_add(b, c)
     with pytest.raises(ValueError):
-        toric.builtin_octahedron(-1)
+        table_polytope("octahedron", -1)
 
 
 def test_accept_gc3_conifold_splits():
-    fan = toric.normal_fan(toric.builtin_gc3(2))
+    fan = table_fan("flag3", 2)
     for pick_first in (True, False):
         cert = split_square_cones(fan, pick_first)
         ok, report = toric.verify_small_resolution(fan, cert)
@@ -160,7 +169,7 @@ def test_accept_gc3_conifold_splits():
 
 
 def test_accept_octahedron_full_split():
-    fan = toric.normal_fan(toric.builtin_octahedron(1))
+    fan = table_fan("octahedron")
     cert = split_square_cones(fan)
     assert len(cert.simplicial_cones) == 12
     ok, report = toric.verify_small_resolution(fan, cert)
@@ -168,7 +177,7 @@ def test_accept_octahedron_full_split():
 
 
 def test_reject_new_ray():
-    fan = toric.normal_fan(toric.builtin_octahedron(1))
+    fan = table_fan("octahedron")
     cones = list(split_square_cones(fan).simplicial_cones)
     cones[0] = (cones[0][0], cones[0][1], (1, 1, 7))
     ok, report = toric.verify_small_resolution(
@@ -229,7 +238,7 @@ def test_rank_four_single_cone_is_its_own_refinement():
 
 
 def test_reject_gc3_double_cover():
-    fan = toric.normal_fan(toric.builtin_gc3(1))
+    fan = table_fan("flag3")
     cert = split_square_cones(fan)
     first, second = [c for c in cert.simplicial_cones if c not in fan.cones]
     cones = [first if c == second else c for c in cert.simplicial_cones]
@@ -309,7 +318,7 @@ def test_certificate_validation():
 
 
 def test_json_round_trips():
-    fan = toric.normal_fan(toric.builtin_octahedron(1))
+    fan = table_fan("octahedron")
     fdata = json.loads(json.dumps({"rays": fan.rays, "cones": fan.cones}))
     assert toric.fan_from_json(fdata) == fan
     cert = toric.make_certificate([(0, 1, 2), ((1, 0, 0), 3, 4)])
