@@ -8,7 +8,9 @@ a toric refinement certificate, and emit preset problem skeletons.
 import argparse
 import contextlib
 import decimal
+import errno
 import json
+import os
 import sys
 
 from . import curves, degrees, engine, matching
@@ -26,6 +28,23 @@ def _load(path):
                          % (path, exc.lineno, exc.colno, exc.msg)) from None
 
 
+def _cannot_write(command, out, reason):
+    print("tropcount %s: cannot write %s: %s" % (command, out, reason),
+          file=sys.stderr)
+    return 2
+
+
+def _check_out(out, command):
+    """A look at out before the work that fills it, which creates and
+    truncates nothing: 0, or 2 after _emit's one line when out is a
+    directory or its directory is missing."""
+    if out and os.path.isdir(out):
+        return _cannot_write(command, out, os.strerror(errno.EISDIR))
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        return _cannot_write(command, out, os.strerror(errno.ENOENT))
+    return 0
+
+
 def _emit(data, out, command):
     """Write data as indented JSON and a newline, to the file out or
     else to standard output, chunk by chunk rather than as one string.
@@ -34,9 +53,7 @@ def _emit(data, out, command):
     try:
         fp = open(out, "w") if out else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
-        print("tropcount %s: cannot write %s: %s"
-              % (command, out, exc.strerror), file=sys.stderr)
-        return 2
+        return _cannot_write(command, out, exc.strerror)
     with fp as stream:
         json.dump(data, stream, sort_keys=True, indent=2)
         stream.write("\n")
@@ -53,6 +70,8 @@ def _cmd_count(args):
     if data.get("options", {}).get("long") and not args.long:
         print("problem is marked long; pass --long to run it",
               file=sys.stderr)
+        return 2
+    if _check_out(args.out, "count"):
         return 2
     try:
         report = engine.count_invariant(problem, seed=args.seed,
@@ -122,7 +141,12 @@ def _preset_problem(kind, cls):
     n = len(facets[0][0])
     # a class with e ends meets e + n - 3 codimensions of conditions, and
     # each point has codimension n - 1
-    npts = (degrees.end_count(facets, cls) + n - 3) // (n - 1)
+    codim = degrees.end_count(facets, cls) + n - 3
+    npts, rest = divmod(codim, n - 1)
+    if rest:
+        raise ValueError("%s class %s needs codimension %d of conditions, "
+                         "and points of codimension %d leave %d over"
+                         % (kind, ",".join(map(str, cls)), codim, n - 1, rest))
     return {
         "rank": n,
         "degree_source": {"kind": kind,

@@ -319,20 +319,15 @@ def _canonicalize(edges, leaf_data, n):
         markings=(),
     )
 
-    ecount = edge_count(comb)
+    # swapping two disjoint sibling subtrees of equal (w, u, code) pairs
+    # edges of equal weight and direction, and is never the identity
     gens = []
     for pairs in gens_raw:
-        perm = list(range(ecount))
-        ok = True
+        perm = list(range(edge_count(comb)))
         for ra, rb in pairs:
             ia, ib = rec_id(ra), rec_id(rb)
             perm[ia], perm[ib] = ib, ia
-        for eid in range(ecount):
-            if (edge_weight(comb, perm[eid]) != edge_weight(comb, eid)
-                    or edge_dir(comb, perm[eid]) != edge_dir(comb, eid)):
-                ok = False
-        if ok and tuple(perm) != tuple(range(ecount)):
-            gens.append(tuple(perm))
+        gens.append(tuple(perm))
     return key, comb, gens
 
 

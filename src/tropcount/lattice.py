@@ -1,13 +1,14 @@
 """Exact integer and rational linear algebra.
 
-One routine, eliminate, does every exact elimination here: a
+Two reductions do every exact elimination here.  Over Q, eliminate is a
 fraction-free Gauss-Jordan (Bareiss) reduction over Python integers,
 after each rational row is scaled to integers by the lcm of its
-denominators.  Rank, determinant, adjugate, inverse and linear solve
-all read its result, and Fraction appears only in the values that
-solve_rational returns.  Smith normal form gives quotient maps, which
-matching memoizes per edge direction and constraint span, and
-saturation indices.  No floating point is used anywhere; equality
+denominators; rank, determinant, adjugate, inverse and linear solve all
+read its result, and Fraction appears only in the values that
+solve_rational returns.  Over Z, column_echelon reduces integer vectors
+by unimodular column steps; the quotient maps (which matching memoizes
+per edge direction and constraint span) and the saturation indices read
+its transform.  No floating point is used anywhere; equality
 decisions (membership, genericity, indices) must be exact.
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import index
+from operator import index, mul
 
 
 def vec_neg(a):
@@ -142,105 +143,58 @@ def int_matrix_inverse(m):
     return [[det * x for x in row] for row in adj]
 
 
-def smith_normal_form(m):
-    """Smith normal form of an integer matrix.
+def _xgcd(a, b):
+    """(g, x, y) with x*a + y*b = g, g a gcd of a and b (of either sign)."""
+    x, y, x1, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x, x1 = x1, x - q * x1
+        y, y1 = y1, y - q * y1
+    return a, x, y
 
-    Returns (diag, left, right) with left*m*right diagonal, the diagonal
-    entries nonnegative with d_i | d_{i+1}, and left, right unimodular.
-    Reduction picks the smallest nonzero entry as pivot to limit growth.
+
+def column_echelon(vectors, n):
+    """Integer column echelon form of vectors in Z^n.
+
+    Returns (indep, u): indep lists the indices of the vectors that are
+    independent of those before them, and u is an n x n integer matrix
+    of determinant 1.  With r = len(indep), every vector times u is zero
+    past column r, and the rows indep of vectors*u form a lower
+    triangular block with a nonzero diagonal in the first r columns.
+    Each step combines pivot column c and a later column by
+    [[x, -q], [y, p]], where x*a + y*b = g and (p, q) = (a/g, b/g) for
+    the entries a, b of the vector in those columns: the pivot column
+    takes g and the other one 0, and x*p + y*q = 1.
     """
-    a = [list(row) for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    left = identity_matrix(rows)
-    right = identity_matrix(cols)
-
-    def row_op(i, j, q):
-        # row i -= q * row j
-        for c in range(cols):
-            a[i][c] -= q * a[j][c]
-        for c in range(rows):
-            left[i][c] -= q * left[j][c]
-
-    def col_op(i, j, q):
-        # col i -= q * col j
-        for r in range(rows):
-            a[r][i] -= q * a[r][j]
-        for r in range(cols):
-            right[r][i] -= q * right[r][j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            right[r][i], right[r][j] = right[r][j], right[r][i]
-
-    t = 0
-    while t < min(rows, cols):
-        # locate smallest nonzero entry in the remaining block
-        piv = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)  # remainder is smaller, new pivot
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                # enforce divisibility d_t | a[i][j]
-                p = a[t][t]
-                for i in range(t + 1, rows):
-                    done = False
-                    for j in range(t + 1, cols):
-                        if a[i][j] % p != 0:
-                            row_op(t, i, -1)  # fold row i into row t
-                            dirty = True
-                            done = True
-                            break
-                    if done:
-                        break
-        if a[t][t] < 0:
-            for c in range(cols):
-                a[t][c] = -a[t][c]
-            for c in range(rows):
-                left[t][c] = -left[t][c]
-        t += 1
-
-    diag = [a[i][i] for i in range(min(rows, cols))]
-    return diag, left, right
+    cols = identity_matrix(n)  # cols[j] is column j of u
+    indep = []
+    for i, v in enumerate(vectors):
+        c = len(indep)
+        a = [sum(map(mul, v, col)) for col in cols]
+        if not any(a[c:]):
+            continue
+        for j in range(c + 1, n):
+            if a[j]:
+                g, x, y = _xgcd(a[c], a[j])
+                p, q = a[c] // g, a[j] // g
+                cc, cj = cols[c], cols[j]
+                cols[c] = [x * s + y * t for s, t in zip(cc, cj)]
+                cols[j] = [p * t - q * s for s, t in zip(cc, cj)]
+                a[c] = g
+        indep.append(i)
+    return indep, [list(row) for row in zip(*cols)]
 
 
 def saturation_index(basis):
-    """Index of the lattice spanned by independent integer vectors in its
-    saturation (its Q-span intersected with Z^n): the product of the
-    Smith invariant factors of the basis."""
-    diag, _, _ = smith_normal_form(basis)
-    if len(diag) < len(basis) or 0 in diag:
-        raise ValueError("saturation_index requires linearly independent "
-                         "vectors")
-    return prod(diag)
+    """Index of the lattice spanned by integer vectors in its saturation
+    (its Q-span intersected with Z^n), the absolute product of the
+    diagonal of their column echelon form; 0 when they are dependent."""
+    n = len(basis[0]) if basis else 0
+    indep, u = column_echelon(basis, n)
+    if len(indep) < len(basis):
+        return 0
+    return abs(prod(sum(map(mul, v, col)) for v, col in zip(basis, zip(*u))))
 
 
 def quotient_map(vectors, n):
@@ -248,20 +202,12 @@ def quotient_map(vectors, n):
 
     The quotient of Z^n by the saturated sublattice generated by the
     (possibly dependent or empty) vectors is free; x |-> x*W gives its
-    coordinates.  W has n rows and n-k columns where k is the rank.
-    The map is surjective onto Z^(n-k) with kernel exactly the saturation.
+    coordinates.  W is the n x (n-k) block of the columns of the
+    column echelon transform past the rank k, so the map is surjective
+    onto Z^(n-k) with kernel exactly the saturation.
     """
-    indep = []
-    for v in vectors:
-        if not is_zero(v) and rank_int(indep + [tuple(v)]) == len(indep) + 1:
-            indep.append(tuple(v))
-    k = len(indep)
-    if k == 0:
-        return identity_matrix(n)
-    if k == n:
-        return [[] for _ in range(n)]
-    _, _, right = smith_normal_form(indep)
-    return [[right[i][j] for j in range(k, n)] for i in range(n)]
+    indep, u = column_echelon(vectors, n)
+    return [row[len(indep):] for row in u]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import mul
 
 from .curves import edge_base_vertex, edge_dir, is_bounded, path_signs
-from .lattice import quotient_map, rank_int, saturation_index, solve_rational
+from .lattice import quotient_map, saturation_index, solve_rational
 
 NONE = "none"
 UNIQUE = "unique"
@@ -33,11 +33,11 @@ def check_basis(n, basis):
     for v in basis:
         if len(v) != n:
             raise ValueError("constraint basis rank mismatch")
-    if basis:
-        if rank_int(basis) != len(basis):
-            raise ValueError("constraint basis must be independent")
-        if saturation_index(basis) != 1:
-            raise ValueError("constraint basis must be saturated")
+    index = saturation_index(basis)
+    if index == 0:
+        raise ValueError("constraint basis must be independent")
+    if index != 1:
+        raise ValueError("constraint basis must be saturated")
     if n - 1 - len(basis) < 1:
         raise ValueError("constraint imposes no condition on a curve")
 

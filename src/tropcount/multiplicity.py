@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .curves import edge_dir, edge_weight
 # quotient_map is unused here, but perfbench's tracer patches it by name
-from .lattice import quotient_map, rank_int, saturation_index
+from .lattice import quotient_map, saturation_index
 from .matching import incidence_rows
 
 
@@ -53,7 +53,7 @@ def d_index(t, constraints):
     if len(rows) != len(t.ends) + t.n - 3:
         raise ValueError("index map has %d rows, not e + n - 3; dimensions "
                          "are off" % len(rows))
-    return saturation_index(rows) if rank_int(rows) == len(rows) else 0
+    return saturation_index(rows)
 
 
 def delta_index(t, i, constraint):
@@ -63,9 +63,10 @@ def delta_index(t, i, constraint):
     u = edge_dir(t, eid)
     w = edge_weight(t, eid)
     basis = [tuple(u)] + [tuple(b) for b in constraint.basis]
-    if rank_int(basis) != len(basis):
+    index = saturation_index(basis)
+    if index == 0:
         raise ValueError("marked edge direction lies in the constraint span")
-    return w * saturation_index(basis)
+    return w * index
 
 
 def total_multiplicity(t, constraints):

@@ -89,6 +89,33 @@ def test_preset_serves_every_table(tmp_path, kind):
     assert read(out)["total"] == ALL_ONES_TOTALS[kind]
 
 
+# The Gelfand-Cetlin table of Gr(2,4) in the coordinates (x12, x21, x22,
+# x31): class d has 4d ends in rank 4
+GR24_TABLE = (((0, -1, 0, 0), (1,)), ((-1, 1, 0, 0), (0,)),
+              ((1, 0, -1, 0), (0,)), ((0, 0, 1, 0), (0,)),
+              ((0, 1, 0, -1), (0,)), ((0, 0, -1, 1), (0,)))
+
+
+def test_preset_refuses_a_class_whose_points_do_not_divide(
+        tmp_path, monkeypatch, capsys):
+    """Gr(2,4) class 1 needs codimension 4 + 4 - 3 = 5, which points of
+    codimension 3 do not divide: one line naming the class and the 2
+    left over, and exit 2.  Class 2 needs 9, three points."""
+    monkeypatch.setitem(degrees.FACET_TABLES, "gr24", GR24_TABLE)
+    out = tmp_path / "problem.json"
+    assert cli.main(["preset", "gr24", "--class", "1",
+                     "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "gr24 class 1 " in err and "leave 2 over" in err
+    assert cli.main(["preset", "gr24", "--class", "2",
+                     "--out", str(out)]) == 0
+    data = read(out)
+    assert data["rank"] == 4
+    assert data["constraints"]["bases"] == [[]] * 3
+
+
 @pytest.mark.parametrize("preset, cls", [("flag3", "0,0"), ("flag3", "2,-1"),
                                          ("flag3", "1,x"), ("octahedron", "0"),
                                          ("octahedron", "1,1"),
@@ -474,6 +501,33 @@ def test_unopenable_out_exits_2(tmp_path, monkeypatch, capsys, command,
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("tropcount %s: cannot write %s: " % (command, bad))
+
+
+@pytest.mark.parametrize("bad", ["missing/out.json", "."])
+def test_count_checks_out_before_counting(tmp_path, monkeypatch, capsys,
+                                          bad):
+    """An --out that cannot be written ends the count before it starts,
+    and a writable one is neither created nor truncated by the check."""
+    def no_count(*args, **kwargs):
+        raise AssertionError("the count ran")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(engine, "count_invariant", no_count)
+    problem = write(tmp_path / "p.json", plane_line())
+    assert cli.main(["count", "--problem", problem, "--out", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("tropcount count: cannot write %s: " % bad)
+
+    def failed_count(*args, **kwargs):
+        raise ValueError("no count")
+
+    monkeypatch.setattr(engine, "count_invariant", failed_count)
+    assert cli.main(["count", "--problem", problem, "--out", "new.json"]) == 2
+    assert not (tmp_path / "new.json").exists()
+    (tmp_path / "old.json").write_text("kept")
+    assert cli.main(["count", "--problem", problem, "--out", "old.json"]) == 2
+    assert (tmp_path / "old.json").read_text() == "kept"
 
 
 def test_missing_subcommand_errors():

@@ -183,27 +183,45 @@ def test_int_matrix_inverse():
         lattice.int_matrix_inverse([[1, 2], [2, 4]])
 
 
-@settings(max_examples=60)
-@given(st.integers(min_value=1, max_value=3).flatmap(square))
-def test_smith_normal_form_properties(m):
-    diag, left, right = lattice.smith_normal_form(m)
-    assert abs(lattice.bareiss_det(left)) == 1
-    assert abs(lattice.bareiss_det(right)) == 1
-    prod = mat_mul(mat_mul(left, m), right)
-    for i, row in enumerate(prod):
-        for j, x in enumerate(row):
-            if i == j and i < len(diag):
-                assert x == diag[i]
-            else:
-                assert x == 0
-    for d in diag:
-        assert d >= 0
-    for a, b in zip(diag, diag[1:]):
-        # divisibility chain, with 0 allowed only at the tail
-        if a == 0:
-            assert b == 0
+@st.composite
+def echelon_inputs(draw):
+    """(vectors, n): up to five vectors in Z^n, some of them zero and
+    some integer combinations of the vectors before them."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    vectors = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        kind = draw(st.sampled_from(("free", "zero", "combination")))
+        if kind == "zero":
+            v = [0] * n
+        elif kind == "combination" and vectors:
+            f = draw(st.lists(st.integers(-3, 3), min_size=len(vectors),
+                              max_size=len(vectors)))
+            v = [sum(c * w[j] for c, w in zip(f, vectors)) for j in range(n)]
         else:
-            assert b % a == 0
+            v = draw(st.lists(ints, min_size=n, max_size=n))
+        vectors.append(v)
+    return vectors, n
+
+
+@settings(max_examples=100)
+@given(echelon_inputs())
+def test_column_echelon_properties(case):
+    """u has determinant exactly 1, vectors*u is zero past the rank, and
+    the rows of the independent vectors form a lower triangular block
+    with a nonzero diagonal; a vector is listed independent exactly when
+    it raises the rank of those before it."""
+    vectors, n = case
+    indep, u = lattice.column_echelon(vectors, n)
+    r = len(indep)
+    assert lattice.bareiss_det(u) == 1
+    assert indep == [k for k in range(len(vectors))
+                     if fraction_rank(vectors[:k + 1]) > fraction_rank(
+                         vectors[:k])]
+    vu = mat_mul(vectors, u)
+    for row in vu:
+        assert not any(row[r:])
+    for i, k in enumerate(indep):
+        assert vu[k][i] != 0 and not any(vu[k][i + 1:])
 
 
 def test_rank_int():
@@ -224,13 +242,11 @@ def test_saturate_and_index():
 
 
 def test_lattice_index_errors():
-    """The saturation index is defined only for independent vectors."""
-    with pytest.raises(ValueError):
-        lattice.saturation_index([(1, 0), (2, 0)])
-    with pytest.raises(ValueError):
-        lattice.saturation_index([(0, 0, 0)])
-    with pytest.raises(ValueError):
-        lattice.saturation_index([(1, 0), (0, 1), (1, 1)])
+    """Dependent vectors have saturation index 0, as a singular matrix
+    has determinant 0."""
+    assert lattice.saturation_index([(1, 0), (2, 0)]) == 0
+    assert lattice.saturation_index([(0, 0, 0)]) == 0
+    assert lattice.saturation_index([(1, 0), (0, 1), (1, 1)]) == 0
 
 
 def test_quotient_map_cases():
@@ -253,10 +269,14 @@ def test_quotient_map_cases():
 @given(st.lists(st.lists(ints, min_size=3, max_size=3), min_size=0,
                 max_size=2))
 def test_quotient_map_kernel(vectors):
+    """W has n - rank columns, vanishes on the vectors and is onto:
+    its columns span a saturated lattice."""
     w = lattice.quotient_map(vectors, 3)
+    assert len(w) == 3 and len(w[0]) == 3 - fraction_rank(vectors)
     for v in vectors:
         assert all(sum(x * row[j] for x, row in zip(v, w)) == 0
                    for j in range(len(w[0])))
+    assert lattice.saturation_index([list(col) for col in zip(*w)]) == 1
 
 
 def test_solve_rational_unique():
@@ -390,8 +410,7 @@ def test_saturation_index_is_gcd_of_maximal_minors(seed, n, k):
         f = rng.choice((1, 1, 2, 3))
         basis.append(tuple(f * rng.randint(-6, 6) for _ in range(n)))
     if fraction_rank(basis) < k:
-        with pytest.raises(ValueError):
-            lattice.saturation_index(basis)
+        assert lattice.saturation_index(basis) == 0
         return
     g = 0
     for cols in combinations(range(n), k):

@@ -8,8 +8,8 @@ import pytest
 
 from oracles import mikhalkin_multiplicity
 from tropcount import curves, degrees, engine, matching, multiplicity
-from tropcount.lattice import (bareiss_det, int_matrix_inverse,
-                               quotient_map, smith_normal_form)
+from tropcount.lattice import (bareiss_det, column_echelon,
+                               int_matrix_inverse, quotient_map)
 
 LINE_DIRECTIONS = ((0, 1, 1), (1, 0, 0), (0, 1, 0), (1, 0, 1))
 
@@ -171,12 +171,12 @@ def vertex_position_index(t, constraints):
 
 def complement_line_index(t, constraints):
     """Oracle for a two-ended type's index: |det| of the incidence rows
-    on a complement of the line's direction, taken from the Smith form
-    of that direction."""
+    on a complement of the line's direction: u * U = (+-1, 0, ..., 0)
+    for the column echelon transform U of the primitive u, so u and the
+    rows 1.. of U^-1 are a basis of Z^n."""
     n = t.n
     u = t.ends[0][2]
-    _, _, right = smith_normal_form([list(u)])
-    complement = int_matrix_inverse(right)[1:]
+    complement = int_matrix_inverse(column_echelon([u], n)[1])[1:]
     rows = []
     for c in constraints:
         wq = quotient_map([u, *c.basis], n)
@@ -216,7 +216,7 @@ def sampled_markings(rng):
 
 def test_index_from_incidence_rows_matches_oracles():
     """d_index read off the incidence rows equals the vertex-position
-    index on a type with vertices and the Smith-complement index on a
+    index on a type with vertices and the complement-line index on a
     two-ended line, the indices it replaced."""
     rng = random.Random(20)
     seen = {"vertex": 0, "nonzero": 0, "line": 0, "parallel": 0}
