@@ -55,7 +55,7 @@ def _library():
                     exc)
         return None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.tc_search.argtypes = ([i64] * 5 + [ptr] * 11 +
+    lib.tc_search.argtypes = ([i64] * 4 + [ptr] * 5 +
                               [ctypes.POINTER(ctypes.POINTER(i64)),
                                ctypes.POINTER(i64)])
     lib.tc_search.restype = i64
@@ -68,70 +68,48 @@ def implementation():
     return "pure" if _library() is None else "compiled"
 
 
-def search_points(n, nb, lbounded, groups):
+def search_points(n, nb, groups):
     """Candidate (edges, sigma) pairs of one type; see pure.search_points."""
     lib = _library()
     if lib is not None:
-        result = _search_compiled(lib, n, nb, lbounded, groups)
+        result = _search_compiled(lib, n, nb, groups)
         if result is not None:
             return result
         log.info("compiled kernel overflowed 2^62 on a type with %d edges; "
-                 "rerunning it in the pure lane", len(lbounded))
-    return pure.search_points(n, nb, lbounded, groups)
+                 "rerunning it in the pure lane", len(groups[0][1]))
+    return pure.search_points(n, nb, groups)
 
 
-def _search_compiled(lib, n, nb, lbounded, groups):
+def _search_compiled(lib, n, nb, groups):
     """pure.search_points in the C library; None on overflow."""
     import ctypes
 
     u_n = n + nb
-    ne = len(lbounded)
-    shape = [(len(g[1][0]), len(g[0])) for g in groups]
+    ne = len(groups[0][1])
+    shape = [(len(g[1][0]) - 1, len(g[0])) for g in groups]
     l = sum(lg for _, lg in shape)
     if sum(r * lg for r, lg in shape) != u_n:
         raise ValueError("row count does not match unknown count")
-    zeros = (0,) * u_n
-    xidx = []
-    xrow = []
-    xrhs = []
-    for members, _, _, _, _, extra in groups:
-        for x in extra:
-            if x is None:
-                xidx.append(-1)
-            else:
-                xidx.append(len(xrow))
-                xrow.append(x[0])
-                xrhs.append(x[1] + (0,) * (l - len(members)))
     try:
         arrays = [
             array("q", [x for sh in shape for x in sh]),
             array("q", [c for g in groups for c in g[0]]),
-            array("q", [x for g in groups for block in g[1]
-                        for row in block for x in row]),
+            array("q", [x for g in groups for rows in g[1]
+                        for row in rows for x in row]),
             array("q", [x for g in groups for er in g[2]
                         for row in er for x in row]),
-            array("q", lbounded),
-            array("q", [0 if t is None else t[0]
-                        for g in groups for t in g[3]]),
-            array("q", [x for g in groups for t in g[3]
-                        for x in (zeros if t is None else t[1])]),
-            array("q", [x for g in groups for row in g[4]
-                        for x in ((0,) * len(g[0]) if row is None else row)]),
-            array("q", xidx),
-            array("q", [x for row in xrow for x in row]),
-            array("q", [x for row in xrhs for x in row]),
+            array("q", [uj for g in groups for uj in g[3]]),
         ]
     except OverflowError:  # beyond int64, so beyond 2^62 as well
         return None
     ng = len(groups)
-    nx = len(xrow)
-    sizes = (2 * ng, l, ne * u_n * sum(r for r, _ in shape), ne * u_n, ne,
-             ng * ne, ng * ne * u_n, ne * l, ng * ne, nx * u_n, nx * l)
+    sizes = (2 * ng, l, ne * u_n * sum(r + 1 for r, _ in shape),
+             ne * (u_n + l), ng * ne)
     if tuple(len(a) for a in arrays) != sizes:
         raise ValueError("kernel input is not rectangular")
     out = ctypes.POINTER(ctypes.c_int64)()
     count = ctypes.c_int64()
-    status = lib.tc_search(n, nb, ne, ng, nx,
+    status = lib.tc_search(n, nb, ne, ng,
                            *(a.buffer_info()[0] for a in arrays),
                            ctypes.byref(out), ctypes.byref(count))
     if status == OVERFLOW:

@@ -60,24 +60,23 @@ def _exists_zero_assignment(slot_values, nconstr):
     return rec(0, 0)
 
 
-def search_points(n, nb, lbounded, groups):
+def search_points(n, nb, groups):
     """Find all candidate (edge list, assignment) pairs.
 
-    groups[g] = (members, blocks, rhs, tdata, pj, extra) describes the
-    constraints that share one direction span:
+    groups[g] = (members, rows, rhs, uj) describes the constraints that
+    share one direction span, with one record per edge e:
       members      their indices among all constraints;
-      blocks[e]    the r_g x U coefficient block of edge e;
-      rhs[e][c]    its r_g right-hand sides under the group's c-th
-                   constraint;
-      tdata[e]     (uj, hrow), recovering the parameter along e as
-                   (pj[e][c] - hrow . x) / uj, with pj[e][c] the same
-                   coordinate of the constraint's offset;
-      extra[e]     None, or (row, rhs) for an edge parallel to the span:
-                   its one quotient row beyond the block, and that row's
-                   right-hand side under each constraint.  Such an edge
-                   has no parameter (tdata[e] and pj[e] are None).
-    lbounded[e] is the bounded-edge index of e, or -1.  The slots of
-    group 0 come first, then those of group 1, and so on.
+      rows[e]      r_g + 1 rows over the U = n + nb unknowns x: the
+                   edge's r_g x U coefficient block, then a last row;
+      rhs[e][c]    the r_g + 1 right-hand sides of those rows under the
+                   group's c-th constraint;
+      uj[e]        the coefficient of the parameter along e, or 0 for an
+                   edge parallel to the span.
+    The last row gives the parameter along e as (rhs[e][c][-1] - last .
+    x) / uj[e].  An edge parallel to the span has no parameter: its last
+    row is its one quotient row beyond the block, which x must satisfy
+    too.  The edges e < nb are the bounded ones, of length x[n + e].
+    The slots of group 0 come first, then those of group 1, and so on.
 
     Returns (status, candidates) with candidates a list of
     (edges, sigma): sigma[k] is the constraint carried by edges[k].
@@ -85,16 +84,18 @@ def search_points(n, nb, lbounded, groups):
     configuration for this type.
     """
     u_n = n + nb
-    ne = len(lbounded)
+    ne = len(groups[0][1])
     l = sum(len(g[0]) for g in groups)
-    # per slot: its group and the offset of its rows
+    # per slot: its group, its block height and the offset of its rows
     slot_group = []
+    slot_r = []
     row_off = []
     rows = 0
     for g, grp in enumerate(groups):
-        r = len(grp[1][0])
+        r = len(grp[1][0]) - 1
         for _ in grp[0]:
             slot_group.append(g)
+            slot_r.append(r)
             row_off.append(rows)
             rows += r
     if rows != u_n:
@@ -149,7 +150,7 @@ def search_points(n, nb, lbounded, groups):
             rhs_e = groups[g][2][chosen[k]]
             lg = len(rhs_e)
             vals = None
-            for ridx in range(len(rhs_e[0])):
+            for ridx in range(slot_r[k]):
                 mu = mult[row_off[k] + ridx]
                 if mu:
                     if vals is None:
@@ -167,7 +168,7 @@ def search_points(n, nb, lbounded, groups):
         assignments, injective inside each group, with sign pruning."""
         mat = []
         for k, e in enumerate(edges):
-            mat.extend(groups[slot_group[k]][1][e])
+            mat.extend(groups[slot_group[k]][1][e][:slot_r[k]])
         det, adj = adjugate(mat)
         if det == 0:
             return
@@ -179,7 +180,7 @@ def search_points(n, nb, lbounded, groups):
             vk = []
             for qs in rhs_e:
                 vec = [0] * u_n
-                for ridx, q in enumerate(qs):
+                for ridx, q in enumerate(qs[:slot_r[k]]):
                     if q:
                         col = row_off[k] + ridx
                         for i in range(u_n):
@@ -199,20 +200,24 @@ def search_points(n, nb, lbounded, groups):
         # per slot: (constraint, its index in the group, contribution)
         opts = [[(first[slot_group[k]] + c, c, vec)
                  for c, vec in enumerate(vk)] for k, vk in enumerate(v)]
-        residuals = []
-        params = []
+        # per slot: its edge, the edge's last row, that row's right-hand
+        # sides and uj
+        last = []
         for k, e in enumerate(edges):
-            _, _, _, tdata, pj, extra = groups[slot_group[k]]
-            if extra[e] is not None:
-                residuals.append((k,) + extra[e])
-            params.append((k, tdata[e], pj[e], lbounded[e]))
+            _, rows_g, rhs_g, uj_g = groups[slot_group[k]]
+            last.append((e, rows_g[e][-1], [qs[-1] for qs in rhs_g[e]],
+                         uj_g[e]))
 
         def leaf_checks(acc):
+            # per slot: det times the last row's residual at the solution
+            # acc / det; where the edge has a parameter, that is the
+            # parameter times det * uj
+            vals = [det * xr[sigma[k]] - sum(map(mul, row, acc))
+                    for k, (_, row, xr, _) in enumerate(last)]
             # an edge parallel to its span has one row more than the
             # search used: a nonzero residual means no solution at all
-            for k, row, xr in residuals:
-                if det * xr[sigma[k]] != sum(map(mul, row, acc)):
-                    return False
+            if any(tt for tt, slot in zip(vals, last) if slot[3] == 0):
+                return False
             for b in range(nb):
                 q = acc[n + b]
                 if q == 0:
@@ -220,22 +225,20 @@ def search_points(n, nb, lbounded, groups):
                     return False
                 if (q > 0) != pos:
                     return False
-            for k, td, pjk, lb in params:
-                if td is None:
+            for (e, _, _, uj), tt in zip(last, vals):
+                if uj == 0:
                     # consistent although overdetermined: the marked
                     # point is free along its edge
                     status[0] = NON_GENERAL
                     return False
-                uj, hrow = td
-                tt = det * pjk[sigma[k]] - sum(map(mul, hrow, acc))
                 du = uj if pos else -uj
                 if tt == 0:
                     status[0] = NON_GENERAL
                     return False
                 if (tt > 0) != (du > 0):
                     return False
-                if lb >= 0:
-                    qq = tt - acc[n + lb] * uj
+                if e < nb:
+                    qq = tt - acc[n + e] * uj
                     if qq == 0:
                         status[0] = NON_GENERAL
                         return False
@@ -280,13 +283,13 @@ def search_points(n, nb, lbounded, groups):
         g = slot_group[depth]
         if depth == 0 or slot_group[depth - 1] != g:
             start = 0
-        blocks = groups[g][1]
+        rows_g = groups[g][1]
         off = row_off[depth]
         for e in range(start, ne):
             chosen.append(e)
             saved = len(echelon)
             dead = False
-            for ridx, row in enumerate(blocks[e]):
+            for ridx, row in enumerate(rows_g[e][:slot_r[depth]]):
                 mult = [0] * u_n
                 mult[off + ridx] = 1
                 dep = push_row(row, mult)

@@ -15,21 +15,18 @@
  *
  * Inputs are flat row-major int64 arrays, with U = n + nb unknowns, E
  * edges, G groups of constraints sharing a basis and l constraints in
- * all.  Group g has l_g constraints and r_g rows per edge (gshape[g] =
- * r_g, l_g; the sum of l_g * r_g is U); the arrays marked "per group"
- * hold group 0's part, then group 1's, and so on:
+ * all.  Group g has l_g constraints and r_g block rows per edge
+ * (gshape[g] = r_g, l_g; the sum of l_g * r_g is U).  rows, rhs and uj
+ * hold one record per edge and group: group 0's, then group 1's, and so
+ * on.
  *   members[l]            each group's constraints, by index among all
- *   blocks[E][r_g][U]     coefficient block of each edge (per group)
- *   rhs[E][l_g][r_g]      its right-hand sides under each constraint
- *                         of the group (per group)
- *   lbounded[E]           bounded-edge index of each edge, or -1
- *   tuj[E], hrow[E][U], pj[E][l_g]
- *                         parameter-recovery data (per group)
- *   xidx[E]               index of the edge's extra row, or -1 when the
- *                         edge is not parallel to the span (per group)
- *   xrow[X][U], xrhs[X][l]
- *                         extra rows and their right-hand sides under
- *                         the group's constraints (the first l_g used)
+ *   rows[E][r_g + 1][U]   each edge's coefficient block, then its last
+ *                         row: the parameter row, or the row beyond the
+ *                         block when the edge is parallel to the span
+ *   rhs[E][l_g][r_g + 1]  the right-hand sides of those rows under each
+ *                         constraint of the group
+ *   uj[E]                 the parameter's coefficient, 0 when parallel
+ * The edges e < nb are the bounded ones, of length x[n + e].
  * Candidates come out as 2*l int64 each: the edges, then the index of
  * the constraint each carries.
  */
@@ -45,13 +42,13 @@ enum { OK = 0, NON_GENERAL = 1, OVERFLOW = 2, BAD_INPUT = 3, NO_MEMORY = 4 };
 #define BIG(v) ((v) > LIMIT || (v) < -LIMIT)
 
 typedef struct {
-    const int64_t *blocks, *rhs, *tuj, *hrow, *pj, *xidx;
+    const int64_t *rows, *rhs, *uj;
     int64_t r, l, first;
 } Group;
 
 typedef struct {
     int64_t n, nb, u, l, ne;
-    const int64_t *members, *lbounded, *xrow, *xrhs;
+    const int64_t *members;
     int status;
 
     /* per slot: its group and the offset of its rows */
@@ -76,8 +73,8 @@ typedef struct {
     int64_t *out, ncand, cap;
 } Search;
 
-#define BLOCK(g, e, i, j, u) ((i128)(g)->blocks[((e) * (g)->r + (i)) * (u) + (j)])
-#define RHS(g, e, c, i) ((i128)(g)->rhs[((e) * (g)->l + (c)) * (g)->r + (i)])
+#define BLOCK(g, e, i, j, u) ((i128)(g)->rows[((e) * ((g)->r + 1) + (i)) * (u) + (j)])
+#define RHS(g, e, c, i) ((i128)(g)->rhs[((e) * (g)->l + (c)) * ((g)->r + 1) + (i)])
 
 /* *x += a * b for a, b within LIMIT, whose product cannot overflow;
  * 0 if the sum does */
@@ -289,29 +286,41 @@ static void emit(Search *s)
     s->ncand++;
 }
 
+/* *t = det * (last right-hand side) - last row . acc[l] of slot k: det
+ * times the residual of that row at the solution acc[l] / det; 0 on
+ * overflow */
+static int last_value(Search *s, int64_t k, i128 *t)
+{
+    const Group *g = s->sg[k];
+    int64_t u = s->u, e = s->chosen[k], i;
+    const int64_t *row = g->rows + (e * (g->r + 1) + g->r) * u;
+    const i128 *acc = s->acc + s->l * u;
+
+    *t = s->det * RHS(g, e, s->sigma[k], g->r);
+    for (i = 0; i < u; i++)
+        if (row[i] != 0 && !sub_product(t, row[i], acc[i]))
+            return 0;
+    return 1;
+}
+
 /* 1 if the solution acc[l] / det passes; may set NON_GENERAL or OVERFLOW */
 static int leaf_checks(Search *s)
 {
-    int64_t u = s->u, n = s->n, b, k, i;
-    const i128 *acc = s->acc + s->l * u;
+    int64_t n = s->n, b, k;
+    const i128 *acc = s->acc + s->l * s->u;
     int pos = s->det > 0;
+    i128 t;
 
     /* an edge parallel to its span has one row more than the search
      * used: a nonzero residual means no solution at all */
     for (k = 0; k < s->l; k++) {
-        int64_t x = s->sg[k]->xidx[s->chosen[k]];
-        i128 res;
-        if (x < 0)
+        if (s->sg[k]->uj[s->chosen[k]] != 0)
             continue;
-        res = s->det * (i128)s->xrhs[x * s->l + s->sigma[k]];
-        for (i = 0; i < u; i++) {
-            i128 h = s->xrow[x * u + i];
-            if (h != 0 && !sub_product(&res, h, acc[i])) {
-                s->status = OVERFLOW;
-                return 0;
-            }
+        if (!last_value(s, k, &t)) {
+            s->status = OVERFLOW;
+            return 0;
         }
-        if (res != 0)
+        if (t != 0)
             return 0;
     }
     for (b = 0; b < s->nb; b++) {
@@ -324,40 +333,34 @@ static int leaf_checks(Search *s)
             return 0;
     }
     for (k = 0; k < s->l; k++) {
-        const Group *g = s->sg[k];
-        int64_t e = s->chosen[k], lb = s->lbounded[e];
-        i128 uj = g->tuj[e], du = pos ? uj : -uj, tt;
-        if (g->xidx[e] >= 0) {
+        int64_t e = s->chosen[k];
+        i128 uj = s->sg[k]->uj[e], du = pos ? uj : -uj;
+        if (uj == 0) {
             /* consistent although overdetermined: the marked point is
              * free along its edge */
             s->status = NON_GENERAL;
             return 0;
         }
-        tt = s->det * (i128)g->pj[e * g->l + s->sigma[k]];
-        for (i = 0; i < u; i++) {
-            i128 h = g->hrow[e * u + i];
-            if (h != 0 && !sub_product(&tt, h, acc[i])) {
-                s->status = OVERFLOW;
-                return 0;
-            }
+        if (!last_value(s, k, &t)) {
+            s->status = OVERFLOW;
+            return 0;
         }
-        if (tt == 0) {
+        if (t == 0) {
             s->status = NON_GENERAL;
             return 0;
         }
-        if ((tt > 0) != (du > 0))
+        if ((t > 0) != (du > 0))
             return 0;
-        if (lb >= 0) {
-            i128 qq = tt;
-            if (!sub_product(&qq, acc[n + lb], uj)) {
+        if (e < s->nb) {
+            if (!sub_product(&t, acc[n + e], uj)) {
                 s->status = OVERFLOW;
                 return 0;
             }
-            if (qq == 0) {
+            if (t == 0) {
                 s->status = NON_GENERAL;
                 return 0;
             }
-            if ((qq > 0) == (du > 0))
+            if ((t > 0) == (du > 0))
                 return 0;
         }
     }
@@ -510,40 +513,31 @@ static int all_small(const int64_t *v, int64_t len)
 /* Returns OK, NON_GENERAL, OVERFLOW, BAD_INPUT or NO_MEMORY.  On OK,
  * *out holds *ncand candidates (free it with tc_free); otherwise *out
  * is NULL. */
-int64_t tc_search(int64_t n, int64_t nb, int64_t ne, int64_t ng, int64_t nx,
+int64_t tc_search(int64_t n, int64_t nb, int64_t ne, int64_t ng,
                   const int64_t *gshape, const int64_t *members,
-                  const int64_t *blocks, const int64_t *rhs,
-                  const int64_t *lbounded, const int64_t *tuj,
-                  const int64_t *hrow, const int64_t *pj, const int64_t *xidx,
-                  const int64_t *xrow, const int64_t *xrhs,
+                  const int64_t *rows, const int64_t *rhs, const int64_t *uj,
                   int64_t **out, int64_t *ncand)
 {
     Search s = {0};
     Group *groups;
-    int64_t u = n + nb, l = 0, rows = 0, sumr = 0, e, g, k;
+    int64_t u = n + nb, l = 0, nrows = 0, sumr = 0, g, k;
     size_t nwide, nint;
     i128 *wide;
     int64_t *ints;
 
     *out = NULL;
     *ncand = 0;
-    if (n < 0 || nb < 0 || ne < 1 || ng < 1 || nx < 0)
+    if (n < 0 || nb < 0 || ne < 1 || ng < 1)
         return BAD_INPUT;
     for (g = 0; g < ng; g++) {
         if (gshape[2 * g] < 1 || gshape[2 * g + 1] < 1)
             return BAD_INPUT;
         l += gshape[2 * g + 1];
-        sumr += gshape[2 * g];
-        rows += gshape[2 * g] * gshape[2 * g + 1];
+        sumr += gshape[2 * g] + 1;
+        nrows += gshape[2 * g] * gshape[2 * g + 1];
     }
-    if (rows != u)
+    if (nrows != u)
         return BAD_INPUT;
-    for (e = 0; e < ne; e++)
-        if (lbounded[e] < -1 || lbounded[e] >= nb)
-            return BAD_INPUT;
-    for (k = 0; k < ng * ne; k++)
-        if (xidx[k] < -1 || xidx[k] >= nx)
-            return BAD_INPUT;
     groups = malloc((size_t)ng * sizeof *groups);
     if (!groups)
         return NO_MEMORY;
@@ -552,17 +546,12 @@ int64_t tc_search(int64_t n, int64_t nb, int64_t ne, int64_t ng, int64_t nx,
         gr->r = gshape[2 * g];
         gr->l = gshape[2 * g + 1];
         gr->first = g ? groups[g - 1].first + groups[g - 1].l : 0;
-        gr->blocks = g ? groups[g - 1].blocks + ne * groups[g - 1].r * u : blocks;
-        gr->rhs = g ? groups[g - 1].rhs + ne * groups[g - 1].l * groups[g - 1].r : rhs;
-        gr->tuj = tuj + g * ne;
-        gr->hrow = hrow + g * ne * u;
-        gr->pj = g ? groups[g - 1].pj + ne * groups[g - 1].l : pj;
-        gr->xidx = xidx + g * ne;
+        gr->rows = g ? groups[g - 1].rows + ne * (groups[g - 1].r + 1) * u : rows;
+        gr->rhs = g ? groups[g - 1].rhs + ne * groups[g - 1].l * (groups[g - 1].r + 1) : rhs;
+        gr->uj = uj + g * ne;
     }
-    if (!all_small(blocks, ne * sumr * u) || !all_small(rhs, ne * u) ||
-        !all_small(tuj, ng * ne) || !all_small(hrow, ng * ne * u) ||
-        !all_small(pj, ne * l) || !all_small(xrow, nx * u) ||
-        !all_small(xrhs, nx * l)) {
+    if (!all_small(rows, ne * sumr * u) || !all_small(rhs, ne * (u + l)) ||
+        !all_small(uj, ng * ne)) {
         free(groups);
         return OVERFLOW;
     }
@@ -573,9 +562,6 @@ int64_t tc_search(int64_t n, int64_t nb, int64_t ne, int64_t ng, int64_t nx,
     s.l = l;
     s.ne = ne;
     s.members = members;
-    s.lbounded = lbounded;
-    s.xrow = xrow;
-    s.xrhs = xrhs;
 
     nwide = (size_t)(2 * u * u + 3 * u      /* evec, emult, pivots, w, m */
                      + l * l + 2 * (l + 1)  /* gvals, gsfxmin, gsfxmax */
@@ -614,12 +600,12 @@ int64_t tc_search(int64_t n, int64_t nb, int64_t ne, int64_t ng, int64_t nx,
     s.roff = s.sigma + l;
     s.ggroup = s.sg + l;
     s.used = s.gused + l;
-    for (g = 0, k = 0, rows = 0; g < ng; g++) {
+    for (g = 0, k = 0, nrows = 0; g < ng; g++) {
         int64_t c;
         for (c = 0; c < groups[g].l; c++, k++) {
             s.sg[k] = &groups[g];
-            s.roff[k] = rows;
-            rows += groups[g].r;
+            s.roff[k] = nrows;
+            nrows += groups[g].r;
         }
     }
 

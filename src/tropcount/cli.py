@@ -90,6 +90,8 @@ def _cmd_types(args):
     except ValueError as exc:
         print("tropcount types: %s" % exc, file=sys.stderr)
         return 2
+    if _check_out(args.out, "types"):
+        return 2
     out = [engine.comb_type_to_json(t)
            for t in curves.enumerate_types(deg, args.marks)]
     return _emit({"degree": engine.degree_to_json(deg), "marks": args.marks,

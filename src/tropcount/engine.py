@@ -19,7 +19,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from operator import mul
 
 from . import _kernel
@@ -113,44 +112,27 @@ def _constraints_for(problem, seed, retry):
 
 def _kernel_inputs(comb, constraints):
     """Search inputs of one type (see _kernel.pure): per group of
-    constraints sharing a basis, each edge's matching.edge_rows split
-    into its coefficient block, the block's right-hand sides under each
-    offset, and either the data that recovers the parameter along the
-    edge or, for an edge parallel to the span, the one row beyond the
-    block."""
-    n = comb.n
-    nb = len(comb.bounded)
+    constraints sharing a basis, each edge's matching.edge_rows with its
+    parameter row last, the rows' right-hand sides under each offset,
+    and the parameter's coefficient uj.  An edge parallel to the span
+    has no parameter: its last row is the one beyond the block, and its
+    uj is 0."""
     ne = edge_count(comb)
     sign = path_signs(comb)
     groups = []
     for basis, members in _groups(constraints):
         offsets = [constraints[i].offset for i in members]
-        r = n - 1 - len(basis)
-
-        def values(row):
-            # the right-hand side of row under each offset of the group
-            return tuple([sum(map(mul, off, row)) for off in offsets])
-
-        blocks, rhs, tdata, pj, extra = [], [], [], [], []
+        rows, rhs, uj = [], [], []
         for eid in range(ne):
-            rows, param = edge_rows(comb, sign, eid, basis)
-            blocks.append(rows[:r])
-            rhs.append(tuple([tuple([sum(map(mul, off, row))
-                                     for row in rows[:r]])
+            edge, param = edge_rows(comb, sign, eid, basis)
+            if param is not None:
+                edge += (param[1],)
+            rows.append(edge)
+            rhs.append(tuple([tuple([sum(map(mul, off, row)) for row in edge])
                               for off in offsets]))
-            if param is None:
-                # u lies in the span: one row more, and no parameter
-                extra.append((rows[r], values(rows[r])))
-                tdata.append(None)
-                pj.append(None)
-            else:
-                tdata.append(param)
-                pj.append(values(param[1]))
-                extra.append(None)
-        groups.append((tuple(members), tuple(blocks), tuple(rhs),
-                       tuple(tdata), tuple(pj), tuple(extra)))
-    lbounded = tuple([e if e < nb else -1 for e in range(ne)])
-    return n, nb, lbounded, tuple(groups)
+            uj.append(0 if param is None else param[0])
+        groups.append((tuple(members), tuple(rows), tuple(rhs), tuple(uj)))
+    return comb.n, len(comb.bounded), tuple(groups)
 
 
 def _finish_candidate(t, solution, constraints):
@@ -371,10 +353,17 @@ def kontsevich_oracle(d):
         raise ValueError("degree must be positive, not %d" % d)
     n = [0, 1]
     for k in range(2, d + 1):
-        n.append(sum(n[k1] * n[k - k1] * k1 * k1 * (k - k1)
-                     * ((k - k1) * comb(3 * k - 4, 3 * k1 - 2)
-                        - k1 * comb(3 * k - 4, 3 * k1 - 1))
-                     for k1 in range(1, k)))
+        m = 3 * k - 4
+        total = 0
+        # c = comb(m, j) for j = 3 * k1 - 2, stepped from its neighbours
+        c = m
+        for k1 in range(1, k):
+            j = 3 * k1 - 2
+            c1 = c * (m - j) // (j + 1)  # comb(m, j + 1)
+            k2 = k - k1
+            total += n[k1] * n[k2] * k1 * k1 * k2 * (k2 * c - k1 * c1)
+            c = c1 * (m - j - 1) // (j + 2) * (m - j - 2) // (j + 3)
+        n.append(total)
     return n[d]
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_degrees import OCTAHEDRON_PAIRS
-from tropcount import cli, degrees, engine
+from tropcount import cli, curves, degrees, engine
 
 
 def write(path, data):
@@ -482,8 +482,13 @@ def test_toric_verify_bad_input_exits_2(tmp_path, capsys, which, data,
 def test_unopenable_out_exits_2(tmp_path, monkeypatch, capsys, command,
                                 bad):
     """An --out in a missing directory, or a directory, is one line
-    naming it and exit 2, in every subcommand that writes a file."""
+    naming it and exit 2, in every subcommand that writes a file.
+    `types` says so before it enumerates."""
+    def no_types(*args, **kwargs):
+        raise AssertionError("the types were enumerated")
+
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(curves, "enumerate_types", no_types)
     fanfile, certfile = fan_files(tmp_path)
     argv = {
         "count": ["count", "--problem", write(tmp_path / "p.json",

@@ -73,7 +73,8 @@ def synthetic_inputs(shape, draw_int, groups=None, parallel=None,
 
     shape is (n, nb, edges, r) for point conditions alone.  Grouped
     inputs pass groups, a list of (r_g, l_g), instead of using r;
-    parallel(e) says whether edge e of a group gets an extra row, and
+    parallel(e) says whether edge e of a group is parallel to its span
+    (uj 0, so its last row is an extra row, not a parameter row), and
     members is the order of the constraints' indices."""
     n, nb, ne, r = shape
     u_n = n + nb
@@ -90,21 +91,11 @@ def synthetic_inputs(shape, draw_int, groups=None, parallel=None,
 
     out = []
     for r, lg in groups:
-        tdata, pj, extra = [], [], []
-        for e in range(ne):
-            if parallel is not None and parallel(e):
-                tdata.append(None)
-                pj.append(None)
-                extra.append((draw(u_n), draw(lg)))
-            else:
-                tdata.append((draw(), draw(u_n)))
-                pj.append(draw(lg))
-                extra.append(None)
+        uj = tuple(0 if parallel is not None and parallel(e)
+                   else draw() or 1 for e in range(ne))
         out.append((tuple(next(members) for _ in range(lg)),
-                    draw(ne, r, u_n), draw(ne, lg, r), tuple(tdata),
-                    tuple(pj), tuple(extra)))
-    lbounded = tuple(e if e < nb else -1 for e in range(ne))
-    return n, nb, lbounded, tuple(out)
+                    draw(ne, r + 1, u_n), draw(ne, lg, r + 1), uj))
+    return n, nb, tuple(out)
 
 
 # (n, nb, edges, r): past the fixed limits of the old compiled kernel,
@@ -195,24 +186,25 @@ def test_lanes_agree_on_mixed_types(data, bound, lines, order):
 
 def test_mixed_inputs_group_by_basis():
     """Two lines of one direction share a group; ends parallel to a
-    line get an extra row and no parameter."""
+    line get an extra row as their last row and no parameter (uj 0)."""
     line = LINES[0]
     cons = mixed_constraints([(1, 2, 3), (4, 5, 6), (7, 8, 9)],
                              [(line,), (), (line,)])
     parallel = 0
     for comb in mixed_types():
-        n, nb, lbounded, groups = engine._kernel_inputs(comb, cons)
+        n, nb, groups = engine._kernel_inputs(comb, cons)
+        ne = curves.edge_count(comb)
         assert [g[0] for g in groups] == [(0, 2), (1,)]
         lines_group, points_group = groups
-        assert [len(b) for b in lines_group[1]] == [1] * len(lbounded)
-        assert [len(b) for b in points_group[1]] == [2] * len(lbounded)
-        assert all(x is None for x in points_group[5])
-        for e, extra in enumerate(lines_group[5]):
+        # the block rows, then the last row
+        assert [len(rows) for rows in lines_group[1]] == [1 + 1] * ne
+        assert [len(rows) for rows in points_group[1]] == [2 + 1] * ne
+        assert 0 not in points_group[3]
+        for e, uj in enumerate(lines_group[3]):
             u = curves.edge_dir(comb, e)
             parallel_to_line = u in (line, tuple(-x for x in line))
-            assert (extra is not None) == parallel_to_line
-            assert (lines_group[3][e] is None) == (extra is not None)
-            parallel += extra is not None
+            assert (uj == 0) == parallel_to_line
+            parallel += uj == 0
     assert parallel > 0
 
 
@@ -250,32 +242,25 @@ def reference_inputs(comb, constraints):
         offsets = [constraints[i].offset for i in members]
         r = n - 1 - len(basis)
         span = quotient_columns(basis, n)
-        blocks, rhs, tdata, pj, extra = [], [], [], [], []
+        rows, rhs, ujs = [], [], []
         for u, path in edges:
             cols = quotient_columns((u, *basis), n)
-            blocks.append(tuple([unknowns(col, path) for col in cols[:r]]))
-            rhs.append(tuple([tuple([sum(map(mul, off, col))
-                                     for col in cols[:r]])
-                              for off in offsets]))
             if len(cols) > r:
-                col = cols[r]
-                extra.append((unknowns(col, path),
-                              tuple([sum(map(mul, off, col))
-                                     for off in offsets])))
-                tdata.append(None)
-                pj.append(None)
-                continue
-            for col in span:
-                uj = sum(map(mul, u, col))
-                if uj:
-                    break
-            tdata.append((uj, unknowns(col, path)))
-            pj.append(tuple([sum(map(mul, off, col)) for off in offsets]))
-            extra.append(None)
-        out.append((tuple(members), tuple(blocks), tuple(rhs),
-                    tuple(tdata), tuple(pj), tuple(extra)))
-    lbounded = tuple([e if e < nb else -1 for e in range(len(edges))])
-    return n, nb, lbounded, tuple(out)
+                # parallel to the span: the column beyond the block
+                uj = 0
+            else:
+                for col in span:
+                    uj = sum(map(mul, u, col))
+                    if uj:
+                        break
+                cols += (col,)
+            rows.append(tuple([unknowns(col, path) for col in cols]))
+            rhs.append(tuple([tuple([sum(map(mul, off, col))
+                                     for col in cols])
+                              for off in offsets]))
+            ujs.append(uj)
+        out.append((tuple(members), tuple(rows), tuple(rhs), tuple(ujs)))
+    return n, nb, tuple(out)
 
 
 def criterion_six_bases():
@@ -350,18 +335,19 @@ def shifted_mixed_inputs(shift):
 
 
 def with_parallel_edge(inputs, g, edge, residual):
-    """inputs with one edge made parallel to the span of group g: its
-    extra row is zero, its right-hand sides all equal residual."""
-    n, nb, lbounded, groups = inputs
-    members, blocks, rhs, tdata, pj, extra = groups[g]
+    """inputs with one edge made parallel to the span of group g: uj is
+    0, its last (extra) row is zero, and that row's right-hand sides all
+    equal residual."""
+    n, nb, groups = inputs
+    members, rows, rhs, uj = groups[g]
 
     def put(seq, i, value):
         return seq[:i] + (value,) + seq[i + 1:]
 
-    group = (members, blocks, rhs, put(tdata, edge, None),
-             put(pj, edge, None),
-             put(extra, edge, ((0,) * (n + nb), (residual,) * len(members))))
-    return n, nb, lbounded, put(groups, g, group)
+    group = (members, put(rows, edge, rows[edge][:-1] + ((0,) * (n + nb),)),
+             put(rhs, edge, tuple(qs[:-1] + (residual,) for qs in rhs[edge])),
+             put(uj, edge, 0))
+    return n, nb, put(groups, g, group)
 
 
 @pytest.mark.parametrize("lane", ["compiled", "pure"])
@@ -390,14 +376,15 @@ def test_dependence_across_groups_takes_one_constraint_from_each():
     are a consistent dependence, so the run is non-general; distinct
     ones leave candidates, whose parameters all pass."""
     def group(member, x, y):
-        return ((member,), (((1, 0),), ((0, 1),)), (((x,),), ((y,),)),
-                ((1, (0, 0)), (1, (0, 0))), ((1,), (1,)), (None, None))
+        # per edge: its block row, then a zero parameter row of
+        # right-hand side 1 and uj 1, so every parameter is positive
+        return ((member,), (((1, 0), (0, 0)), ((0, 1), (0, 0))),
+                (((x, 1),), ((y, 1),)), (1, 1))
 
     for search in (pure.search_points, _kernel.search_points):
-        status, cands = search(2, 0, (-1, -1),
-                               (group(0, 5, 3), group(1, 6, 4)))
+        status, cands = search(2, 0, (group(0, 5, 3), group(1, 6, 4)))
         assert status == _kernel.STATUS_OK and cands
-        assert search(2, 0, (-1, -1), (group(0, 5, 3), group(1, 5, 4))) \
+        assert search(2, 0, (group(0, 5, 3), group(1, 5, 4))) \
             == (_kernel.STATUS_NON_GENERAL, [])
 
 
@@ -410,6 +397,43 @@ def test_overflow_falls_back_on_a_mixed_input(caplog):
     assert compiled == reference == lanes(small)[0]
     assert compiled[1], "the shifted case should keep its candidate"
     assert "overflowed 2^62" in caplog.text
+
+
+class NoSearch:
+    """A library stand-in whose search must never be reached."""
+
+    def tc_search(self, *args):
+        raise AssertionError("tc_search was called")
+
+
+def test_compiled_wrapper_rejects_bad_shapes_before_the_search():
+    """A ragged row, a group with a different edge count and row counts
+    that do not sum to n + nb each stop with a ValueError naming its
+    cause, before the C search reads an array."""
+    (n, nb, groups), _ = shifted_mixed_inputs(0)
+    members, rows, rhs, uj = groups[0]
+    ragged = (members, ((rows[0][0][:-1],) + rows[0][1:],) + rows[1:],
+              rhs, uj)
+    members, rows, rhs, uj = groups[-1]
+    fewer = (members, rows[:-1], rhs[:-1], uj[:-1])
+    cases = [((n, nb, (ragged,) + groups[1:]), "not rectangular"),
+             ((n, nb, groups[:-1] + (fewer,)), "not rectangular"),
+             ((n + 1, nb, groups), "row count does not match")]
+    for args, cause in cases:
+        with pytest.raises(ValueError, match=cause):
+            _kernel._search_compiled(NoSearch(), *args)
+
+
+@needs_compiled
+def test_compiled_bad_input_is_a_value_error():
+    """A group without constraints passes the wrapper's shape checks;
+    the C search refuses it, and the wrapper says so."""
+    (n, nb, groups), _ = shifted_mixed_inputs(0)
+    rows = groups[0][1]
+    empty = ((), rows, tuple(() for _ in rows), groups[0][3])
+    with pytest.raises(ValueError, match="out of range"):
+        _kernel._search_compiled(_kernel._library(), n, nb,
+                                 groups + (empty,))
 
 
 @needs_gcc
